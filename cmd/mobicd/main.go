@@ -130,7 +130,6 @@ func run(args []string, logw io.Writer) error {
 		queueCap   = fs.Int("queue", 64, "max queued jobs before submissions get 429")
 		workers    = fs.Int("workers", 2, "jobs executed concurrently")
 		seeds      = fs.Int("seeds", 3, "default replications per sweep cell")
-		tiles      = fs.Int("tiles", 0, "default arena tiles for the tiled-parallel scheduler (0 = sequential; jobs may override with \"tiles\")")
 		ttl        = fs.Duration("ttl", 15*time.Minute, "how long finished jobs stay queryable")
 		drainGrace = fs.Duration("drain", 30*time.Second, "max wait for in-flight jobs on shutdown")
 		quick      = fs.Bool("quick", false, "trim every simulation to 300 s (smoke/demo mode)")
@@ -202,7 +201,7 @@ func run(args []string, logw io.Writer) error {
 
 	if *coordMode {
 		peers := strings.FieldsFunc(*peerList, func(r rune) bool { return r == ',' })
-		runner := experiment.Runner{Seeds: *seeds, Tiles: *tiles}
+		runner := experiment.Runner{Seeds: *seeds}
 		if *quick {
 			runner.Mutate = func(cfg *simnet.Config) { cfg.Duration = 300 }
 		}
@@ -249,7 +248,7 @@ func run(args []string, logw io.Writer) error {
 			}
 		}
 	} else {
-		runner := experiment.Runner{Seeds: *seeds, Tiles: *tiles}
+		runner := experiment.Runner{Seeds: *seeds}
 		if *quick {
 			runner.Mutate = func(cfg *simnet.Config) { cfg.Duration = 300 }
 		}

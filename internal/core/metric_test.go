@@ -345,23 +345,3 @@ func BenchmarkTrackerObserveAggregate(b *testing.B) {
 	}
 	_ = sink
 }
-
-func TestReservePreSizesWithoutChangingBehavior(t *testing.T) {
-	tr := NewTracker()
-	tr.Reserve(64)
-	tr.Reserve(0)  // no-op
-	tr.Reserve(-5) // no-op
-	mustObserve(t, tr, 7, 0, 1e-9)
-	mustObserve(t, tr, 7, 1, 2e-9)
-	plain := NewTracker()
-	mustObserve(t, plain, 7, 0, 1e-9)
-	mustObserve(t, plain, 7, 1, 2e-9)
-	if got, want := tr.Aggregate(), plain.Aggregate(); got != want {
-		t.Fatalf("reserved tracker M = %g, plain = %g", got, want)
-	}
-	// Reserve after state exists must not clear the neighbor table.
-	tr.Reserve(128)
-	if tr.NeighborCount() != 1 {
-		t.Fatalf("Reserve dropped neighbors: %d left", tr.NeighborCount())
-	}
-}

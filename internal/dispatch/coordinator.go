@@ -640,6 +640,18 @@ func (c *Coordinator) getJSON(ctx context.Context, peer, path string, v any) err
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
+// defaultSeeds is the seed count the coordinator resolves an omitted
+// "seeds" to before digesting, placing and forwarding a spec: its embedded
+// fallback service's default (the daemon's -seeds), else the runner
+// default. Workers therefore never fill in a default of their own, so one
+// spec digests and runs identically whichever worker owns it.
+func (c *Coordinator) defaultSeeds() int {
+	if c.cfg.Local != nil {
+		return c.cfg.Local.DefaultSeeds()
+	}
+	return experiment.DefaultSeeds
+}
+
 // replicaTarget picks a job's checkpoint-replica target: the first healthy
 // distinct peer after owner in ring-successor order — exactly the peer a
 // failover would land on, so the replica is already where the job goes

@@ -428,6 +428,69 @@ func TestCoordinatorRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsTilesField: the coordinator decodes submissions
+// as strictly as a worker, so a spec still carrying the removed "tiles"
+// knob is a 400 naming the field on both endpoints, before any placement.
+func TestCoordinatorRejectsTilesField(t *testing.T) {
+	_, srv, _ := newCluster(t, []*worker{newWorker(t)})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"experiment":"fig3","tiles":4}`},
+		{"/v1/jobs:batch", `{"jobs":[{"experiment":"fig3"},{"experiment":"fig3","tiles":4}]}`},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, `unknown field "tiles"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the unknown field", tc.path, resp.StatusCode, eb.Error)
+		}
+	}
+}
+
+// TestCoordinatorResolvesOmittedSeeds: the coordinator resolves an omitted
+// "seeds" to its own default (its embedded service's -seeds) before it
+// digests and forwards, so the worker — whose own default differs — runs
+// exactly the spec the coordinator placed, on both submit endpoints.
+func TestCoordinatorResolvesOmittedSeeds(t *testing.T) {
+	local := service.New(service.Config{Workers: 1, Runner: experiment.Runner{Seeds: 2, Workers: 1}})
+	local.Start()
+	defer local.Shutdown(context.Background())
+	_, srv, _ := newClusterCfg(t, []*worker{newWorker(t)}, func(c *Config) { c.Local = local })
+
+	sweep := `{"sweep":{"scenario":{"n":10,"duration":30,"warmup":1},"algorithms":["mobic"]},"include_raw":true}`
+	var spec service.JobSpec
+	if err := json.Unmarshal([]byte(sweep), &spec); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := submitSpec(t, srv.URL, spec)
+	if st.Spec.Seeds != 2 {
+		t.Fatalf("forwarded spec seeds = %d, want the coordinator's default 2", st.Spec.Seeds)
+	}
+	final := awaitTerminal(t, srv.URL, st.ID, 10*time.Second)
+	if final.State != service.StateSucceeded || len(final.Cells) != 1 || len(final.Cells[0].Raw) != 2 {
+		t.Fatalf("final: %s (%s), cells %+v; want one cell run at 2 seeds", final.State, final.Error, final.Cells)
+	}
+
+	resp := postBatchJSON(t, srv.URL, "", `{"jobs":[`+sweep+`]}`)
+	defer resp.Body.Close()
+	var br struct {
+		Jobs []service.Status `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || len(br.Jobs) != 1 || br.Jobs[0].Spec.Seeds != 2 {
+		t.Fatalf("batch: status %d, jobs %+v; want the spec forwarded with seeds 2", resp.StatusCode, br.Jobs)
+	}
+}
+
 func TestCoordinatorRetryAfterMerge(t *testing.T) {
 	// A fake worker that always sheds with a larger hint than the
 	// coordinator's own floor.

@@ -113,6 +113,9 @@ func (p *proxy) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if spec.Seeds == 0 {
+		spec.Seeds = p.c.defaultSeeds()
+	}
 	digest := spec.Digest()
 	key := r.Header.Get("Idempotency-Key")
 
@@ -260,6 +263,9 @@ func (p *proxy) submitBatch(w http.ResponseWriter, r *http.Request) {
 		if err := req.Jobs[i].Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, "jobs[%d]: %v", i, err)
 			return
+		}
+		if req.Jobs[i].Seeds == 0 {
+			req.Jobs[i].Seeds = p.c.defaultSeeds()
 		}
 	}
 	h := sha256.New()

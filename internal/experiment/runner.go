@@ -21,20 +21,17 @@ import (
 	"mobic/internal/stats"
 )
 
+// DefaultSeeds is the replications per cell a Runner with Seeds <= 0 runs.
+const DefaultSeeds = 3
+
 // Runner controls replication and parallelism for experiment sweeps.
 type Runner struct {
-	// Seeds is the number of replications per cell (default 3).
+	// Seeds is the number of replications per cell (default DefaultSeeds).
 	Seeds int
 	// BaseSeed is the first scenario seed; replication i uses BaseSeed+i.
 	BaseSeed uint64
 	// Workers bounds concurrent simulations (default GOMAXPROCS).
 	Workers int
-	// Tiles, when > 1, runs every cell on the tiled-parallel engine
-	// scheduler with that many arena tiles (see simnet.Config.Tiles; the
-	// tiled schedule is bit-identical to the sequential one, so this is a
-	// pure performance knob). 0 or 1 keeps the sequential scheduler. A
-	// cell whose config already sets Tiles keeps its own value.
-	Tiles int
 	// Progress, when set, is called after each completed cell.
 	Progress func(done, total int)
 	// Mutate, when set, adjusts each materialized config before the run
@@ -69,7 +66,7 @@ type Runner struct {
 // withDefaults returns a copy with defaults applied.
 func (r Runner) withDefaults() Runner {
 	if r.Seeds <= 0 {
-		r.Seeds = 3
+		r.Seeds = DefaultSeeds
 	}
 	if r.BaseSeed == 0 {
 		r.BaseSeed = 1
@@ -164,9 +161,6 @@ func (r Runner) RunCells(ctx context.Context, cells []Cell) ([]CellStats, error)
 			}
 			if cfg.Obs == nil {
 				cfg.Obs = r.Obs
-			}
-			if cfg.Tiles == 0 {
-				cfg.Tiles = r.Tiles
 			}
 			jobs = append(jobs, cellJob{cell: ci, rep: s, seed: p.Seed, cfg: cfg})
 		}

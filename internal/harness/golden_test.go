@@ -13,6 +13,20 @@ var update = flag.Bool("update", false, "rewrite the golden digest file")
 
 const goldenPath = "testdata/digests.json"
 
+// loadGoldenDigests reads the committed golden digest file.
+func loadGoldenDigests(t *testing.T) map[string]Digest {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading golden file (refresh with -update): %v", err)
+	}
+	var want map[string]Digest
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("parsing %s: %v", goldenPath, err)
+	}
+	return want
+}
+
 // computeGoldenDigests runs every pinned (workload, algorithm, seed) cell
 // and returns its digest, keyed by GoldenKey. Runs execute in parallel —
 // each is an independent single-threaded simulation.
@@ -79,14 +93,7 @@ func TestGoldenDigests(t *testing.T) {
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("reading golden file (refresh with -update): %v", err)
-	}
-	var want map[string]Digest
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parsing %s: %v", goldenPath, err)
-	}
+	want := loadGoldenDigests(t)
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d entries, harness pins %d (refresh with -update)", len(want), len(got))
 	}

@@ -80,12 +80,33 @@ func TestDegreeDigestOrderIndependent(t *testing.T) {
 
 // TestMobicDigestOrderIndependentWithCollisions exercises the measured
 // (RxPr-ratio) metric with the MAC collision model on, covering the
-// core.Tracker pairwise fold and the timeout purge ordering together.
+// core.Tracker pairwise fold and the timeout purge ordering together. Two
+// more tick-path shapes ride along: node churn (crashes, a recovery inside
+// one beacon interval, rescheduled beacon chains) and a static LCC network,
+// whose ties and neighbor tables never change once formed.
 func TestMobicDigestOrderIndependentWithCollisions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated runs are long-mode work")
 	}
-	cfg := orderSensitiveConfig(t, cluster.MOBIC)
-	cfg.HelloCollisions = true
-	runRepeatedDigests(t, cfg, 50)
+	collisions := orderSensitiveConfig(t, cluster.MOBIC)
+	collisions.HelloCollisions = true
+
+	churn := orderSensitiveConfig(t, cluster.MOBIC)
+	churn.Failures = []simnet.NodeFailure{
+		{Node: 3, At: 20},
+		{Node: 11, At: 25, RecoverAt: 40},
+		{Node: 15, At: 30.5, RecoverAt: 31},
+		{Node: 7, At: 45, RecoverAt: 55},
+	}
+
+	static := orderSensitiveConfig(t, cluster.LCC)
+	static.Mobility = &mobility.Static{Area: static.Area}
+
+	for name, cfg := range map[string]simnet.Config{
+		"collisions": collisions,
+		"churn":      churn,
+		"static-lcc": static,
+	} {
+		t.Run(name, func(t *testing.T) { runRepeatedDigests(t, cfg, 50) })
+	}
 }

@@ -101,9 +101,9 @@ func PolicyRuns() []Run {
 }
 
 // GoldenRuns enumerates every pinned (workload, algorithm) pair: the base
-// workload × algorithm grid plus the clustering-policy runs. The golden and
-// tiled-equivalence suites iterate exactly this list, so a policy added here
-// is automatically pinned sequentially and proven tile-schedule independent.
+// workload × algorithm grid plus the clustering-policy runs. The golden
+// suite iterates exactly this list, so a policy added here is pinned
+// automatically.
 func GoldenRuns() []Run {
 	var runs []Run
 	for _, w := range Workloads() {

@@ -80,24 +80,6 @@ const (
 	// DispatchPeersHealthy gauges the number of peers passing /readyz.
 	DispatchPeersHealthy
 
-	// TileWindows counts synchronization windows executed by the tiled
-	// scheduler.
-	TileWindows
-	// TilePlannedTicks counts beacon ticks served from a tile worker's
-	// precomputed plan.
-	TilePlannedTicks
-	// TileFallbackTicks counts beacon ticks that missed their plan (node
-	// crashed/recovered mid-window) and ran inline instead.
-	TileFallbackTicks
-	// TileHaloExchanges counts boundary-halo state exchanges: per window,
-	// one per adjacent tile pair whose halos overlap.
-	TileHaloExchanges
-	// TileBarrierWaitNanos accumulates wall-clock nanoseconds the window
-	// coordinator spent waiting on the tile-worker barrier.
-	TileBarrierWaitNanos
-	// TileCount gauges the number of tiles in the most recent tiled run.
-	TileCount
-
 	// CacheCorrupt counts disk-cache entries that failed their CRC or
 	// framing check and were quarantined.
 	CacheCorrupt
@@ -187,13 +169,6 @@ var defs = [NumMetrics]Def{
 	DispatchFailovers:          {"mobic_dispatch_failovers_total", "Interrupted jobs re-dispatched to a successor peer.", Counter},
 	DispatchCheckpointsShipped: {"mobic_dispatch_checkpoints_shipped_total", "Checkpoint records pulled from workers for failover.", Counter},
 	DispatchPeersHealthy:       {"mobic_dispatch_peers_healthy", "Worker peers currently passing their readiness probe.", Gauge},
-
-	TileWindows:          {"mobic_tile_windows_total", "Synchronization windows executed by the tiled scheduler.", Counter},
-	TilePlannedTicks:     {"mobic_tile_planned_ticks_total", "Beacon ticks served from a tile worker's precomputed plan.", Counter},
-	TileFallbackTicks:    {"mobic_tile_fallback_ticks_total", "Beacon ticks that missed their plan and ran inline.", Counter},
-	TileHaloExchanges:    {"mobic_tile_halo_exchanges_total", "Boundary-halo state exchanges between adjacent tiles.", Counter},
-	TileBarrierWaitNanos: {"mobic_tile_barrier_wait_nanos_total", "Wall-clock nanoseconds spent waiting on the tile-worker barrier.", Counter},
-	TileCount:            {"mobic_tile_count", "Tiles in the most recent tiled simulation run.", Gauge},
 
 	CacheCorrupt: {"mobic_cache_corrupt_total", "Disk-cache entries that failed CRC/framing and were quarantined.", Counter},
 

@@ -315,3 +315,77 @@ func BenchmarkCacheHit(b *testing.B) {
 		b.Fatalf("executed %d times, want exactly 1 (everything else cached)", got)
 	}
 }
+
+// TestOmittedSeedsResolvedAcrossRestart is the cache-identity regression
+// test: a spec that omits "seeds" is resolved to the daemon's default at
+// admission, so a durable worker restarted on the same data dir with a
+// different default must run the resubmission fresh — never answer it
+// from the disk cache entry computed under the old seed count.
+func TestOmittedSeedsResolvedAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir := t.TempDir()
+	open := func(seeds int) *Service {
+		c, err := cache.Open(cache.Config{Dir: cacheDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := Open(Config{
+			DataDir: dir, Cache: c, Workers: 1,
+			Runner: experiment.Runner{Seeds: seeds, Workers: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Start()
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = svc.Shutdown(ctx)
+		})
+		return svc
+	}
+	spec := JobSpec{
+		Sweep: &SweepSpec{
+			Scenario:   ScenarioSpec{N: 10, Duration: 20, Warmup: 2},
+			Algorithms: []string{"mobic"},
+		},
+		IncludeRaw: true,
+	}
+	rawSeeds := func(st Status) int {
+		t.Helper()
+		if st.State != StateSucceeded || len(st.Cells) != 1 {
+			t.Fatalf("state = %s (%s), %d cells", st.State, st.Error, len(st.Cells))
+		}
+		return len(st.Cells[0].Raw)
+	}
+
+	svc := open(3)
+	job, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Spec().Seeds; got != 3 {
+		t.Fatalf("admitted spec seeds = %d, want 3 (resolved from the daemon default)", got)
+	}
+	if n := rawSeeds(waitTerminal(t, job)); n != 3 {
+		t.Fatalf("first run used %d seeds, want 3", n)
+	}
+	waitFlights(t, svc)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := open(1)
+	again, err := svc2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _, _ := again.Snapshot(); st.State.Terminal() {
+		t.Fatalf("resubmission after restart at -seeds 1 finished at admission (%s): served from the cache", st.State)
+	}
+	if n := rawSeeds(waitTerminal(t, again)); n != 1 {
+		t.Fatalf("resubmission used %d seeds, want 1", n)
+	}
+}

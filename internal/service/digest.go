@@ -10,10 +10,12 @@ import (
 
 // specDigestVersion heads the hashed payload; bump it whenever the
 // canonical form changes, so old cache entries can never be served for a
-// semantically different spec. v2 added the Tiles field (tiled-parallel
+// semantically different spec. v2 added the "tiles" field (tiled-parallel
 // scheduler knob); v3 added the clustering-policy scenario fields (bi_min,
-// bi_max, energy_j): every v1/v2 cache entry misses cleanly under v3 keys.
-const specDigestVersion = "mobicspec3\n"
+// bi_max, energy_j); v4 dropped "tiles" with the tiled scheduler, and specs
+// reach Digest with Seeds already resolved at admission. Every v1-v3 cache
+// entry misses cleanly under v4 keys.
+const specDigestVersion = "mobicspec4\n"
 
 // canonicalSpec is the normalized image of a JobSpec that Digest hashes.
 // It is a distinct struct — not JobSpec itself — so the wire format of
@@ -28,7 +30,6 @@ type canonicalSpec struct {
 	BaseSeed   uint64  `json:"base_seed"`
 	Duration   float64 `json:"duration"`
 	IncludeRaw bool    `json:"include_raw"`
-	Tiles      int     `json:"tiles"`
 
 	Sweep *canonicalSweep `json:"sweep,omitempty"`
 }
@@ -67,25 +68,16 @@ type canonicalSweep struct {
 //     scenario's own transmission range;
 //   - BaseSeed 0 becomes the runner default 1.
 //
-// Tiles is hashed as-is (0 = sequential, 1 is semantically the same but
-// kept distinct): the tiled scheduler is proven digest-identical to the
-// sequential one by the harness equivalence suite, but the cache stays
-// conservative and never relies on that proof for key identity.
-//
-// Two fields are deliberately treated asymmetrically: Seeds 0 is kept as
-// the "service default" sentinel (its resolution lives in daemon config, so
-// digest identity across a cluster assumes peers share -seeds — see
-// DESIGN.md S28), and TimeoutSeconds is excluded entirely, because a
-// wall-clock budget changes whether a result is produced, never which one.
+// TimeoutSeconds is excluded entirely, because a wall-clock budget changes
+// whether a result is produced, never which one.
 func (s JobSpec) canonical() canonicalSpec {
 	c := canonicalSpec{
-		V:          3,
+		V:          4,
 		Experiment: s.Experiment,
 		Seeds:      s.Seeds,
 		BaseSeed:   s.BaseSeed,
 		Duration:   s.Duration,
 		IncludeRaw: s.IncludeRaw,
-		Tiles:      s.Tiles,
 	}
 	if c.BaseSeed == 0 {
 		c.BaseSeed = 1

@@ -46,7 +46,6 @@ var goldenSpecs = []struct{ name, spec string }{
 	{"sweep-explicit-table1", `{"sweep":{"scenario":{"n":50,"side":670,"max_speed":20,"tx_range":150,"bi":2,"tp":3,"cci":4,"duration":900},"algorithms":["mobic"]}}`},
 	{"sweep-two-algorithms", `{"sweep":{"scenario":{"n":50},"algorithms":["mobic","lowest-id"],"tx_ranges":[50,100,150]},"seeds":3}`},
 	{"sweep-include-raw", `{"sweep":{"scenario":{"n":50},"algorithms":["lcc"]},"include_raw":true,"duration":120}`},
-	{"experiment-fig3-tiled", `{"experiment":"fig3","tiles":8}`},
 	{"sweep-policies", `{"sweep":{"scenario":{"bi_min":0.5,"bi_max":4,"energy_j":12},"algorithms":["adaptive-lowest-id","mobic"]}}`},
 }
 
@@ -95,10 +94,12 @@ func TestSpecDigestGolden(t *testing.T) {
 
 // TestSpecDigestVersionMiss pins the cache-migration behavior of the digest
 // version bumps (mobicspec1 -> 2 added Tiles; 2 -> 3 added the clustering
-// policy fields): the digests the old canonicalizations produced — frozen
-// here from their golden files — must never come out of the current Digest,
-// so every stale cache entry misses cleanly instead of being served for (or
-// colliding with) a current spec.
+// policy fields; 3 -> 4 dropped Tiles): the digests the old
+// canonicalizations produced — frozen here from their golden files — must
+// never come out of the current Digest, so every stale cache entry misses
+// cleanly instead of being served for (or colliding with) a current spec.
+// Old specs are decoded leniently, the way the journal replays them, so a
+// pre-v4 spec that still carries "tiles" is checked too.
 func TestSpecDigestVersionMiss(t *testing.T) {
 	old := []struct{ spec, digest string }{
 		// mobicspec1
@@ -114,9 +115,21 @@ func TestSpecDigestVersionMiss(t *testing.T) {
 		{`{"sweep":{"scenario":{"n":50},"algorithms":["mobic","lowest-id"],"tx_ranges":[50,100,150]},"seeds":3}`, "5f30ef95f915d185bf96264fee292b882a7b3c8e004e735bdfbae7318e42fb37"},
 		{`{"sweep":{"scenario":{"n":50},"algorithms":["lcc"]},"include_raw":true,"duration":120}`, "17ed57bedda0c4abd078a24d0024499628b54982f0e9ef51216fe5732da32367"},
 		{`{"experiment":"fig3","tiles":8}`, "0fae8080218c4d0edf5f6863d359255df1c2f27fc177dc52725a369192a3218a"},
+		// mobicspec3
+		{`{"experiment":"fig3"}`, "a9c913b0ad113d38cbd6267057bf8451d260b1df3e1cf1d514b71ad847f77aac"},
+		{`{"experiment":"fig3","seeds":5,"base_seed":7}`, "6085d37ac506fc9ad3ee8f9266d153619a2bff39c439adc3e6c061565eb38d04"},
+		{`{"sweep":{"scenario":{},"algorithms":["mobic"]}}`, "bc16fa75d0535fe65d353bc8e39cc44c35ce0188714ec1a11a31475bcbc007e2"},
+		{`{"sweep":{"scenario":{"n":50},"algorithms":["mobic","lowest-id"],"tx_ranges":[50,100,150]},"seeds":3}`, "9dd4f578374826a47bc11eb286d8a4908a842569e4b074dd2e12aada6f10e1c2"},
+		{`{"sweep":{"scenario":{"n":50},"algorithms":["lcc"]},"include_raw":true,"duration":120}`, "8caa97d6d5adea35e1d2594667fdd4a78675d9fd5fe2f73f7a869ce711b4f0c7"},
+		{`{"experiment":"fig3","tiles":8}`, "74d63067e0205cd87596f6a1b306d295e3d3ae80ade078e3dcdd782eb13d15f1"},
+		{`{"sweep":{"scenario":{"bi_min":0.5,"bi_max":4,"energy_j":12},"algorithms":["adaptive-lowest-id","mobic"]}}`, "930c28da567f839d567bcb47cae40f8435eb4b5913e5afccaf44e61785b1b15d"},
 	}
 	for _, c := range old {
-		if got := mustSpec(t, c.spec).Digest(); got == c.digest {
+		var spec JobSpec
+		if err := json.Unmarshal([]byte(c.spec), &spec); err != nil {
+			t.Fatalf("decoding %s: %v", c.spec, err)
+		}
+		if got := spec.Digest(); got == c.digest {
 			t.Errorf("spec %s still digests to its stale value %s; old cache entries would be served", c.spec, c.digest)
 		}
 	}
@@ -175,7 +188,6 @@ func TestSpecDigestSensitivity(t *testing.T) {
 		{"different-seeds", `{"sweep":{"scenario":{"n":30},"algorithms":["mobic"],"tx_ranges":[100,150]},"seeds":4}`},
 		{"include-raw", `{"sweep":{"scenario":{"n":30},"algorithms":["mobic"],"tx_ranges":[100,150]},"seeds":3,"include_raw":true}`},
 		{"duration-override", `{"sweep":{"scenario":{"n":30},"algorithms":["mobic"],"tx_ranges":[100,150]},"seeds":3,"duration":60}`},
-		{"tiles-override", `{"sweep":{"scenario":{"n":30},"algorithms":["mobic"],"tx_ranges":[100,150]},"seeds":3,"tiles":4}`},
 		{"experiment-not-sweep", `{"experiment":"fig3"}`},
 	}
 	seen := map[string]string{mustSpec(t, base).Digest(): "base"}
@@ -198,6 +210,8 @@ func FuzzSpecDigest(f *testing.F) {
 	}
 	f.Add(`{"sweep":{"scenario":{"n":1000,"warmup":0.5},"algorithms":["mobic-nocci","dca"],"tx_ranges":[1e-9]}}`)
 	f.Add(`{"experiment":"fig3","seeds":32,"base_seed":18446744073709551615,"duration":3600}`)
+	// A pre-v4 spelling: journal replay decodes it leniently, dropping "tiles".
+	f.Add(`{"experiment":"fig3","tiles":8}`)
 	f.Fuzz(func(t *testing.T, src string) {
 		var spec JobSpec
 		if err := json.Unmarshal([]byte(src), &spec); err != nil {

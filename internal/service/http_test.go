@@ -125,6 +125,31 @@ func TestHTTPSubmitErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsTilesField pins the API edge of the tiled scheduler's
+// removal: a submission still carrying "tiles" is a 400 naming the field,
+// on both the single and the batch endpoint, rather than a silently
+// ignored knob.
+func TestHTTPRejectsTilesField(t *testing.T) {
+	_, srv := newTestAPI(t, Config{Execute: instantExecute(1)})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"experiment":"fig3","tiles":4}`},
+		{"/v1/jobs:batch", `{"jobs":[{"experiment":"fig3"},{"experiment":"fig3","tiles":4}]}`},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, `unknown field "tiles"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the unknown field", tc.path, resp.StatusCode, eb.Error)
+		}
+	}
+}
+
 func TestHTTPQueueFull429(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})

@@ -2,9 +2,11 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -526,5 +528,68 @@ func TestCompactBytesThreshold(t *testing.T) {
 	re.Start()
 	if err := re.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPreV4WALWithTilesReplays pins the journal side of the tiled
+// scheduler's removal: journal decoding is lenient, so a WAL written before
+// the removal, whose submit record still carries "tiles": 4, replays, runs
+// and finishes with output byte-equal to the same spec without it.
+func TestPreV4WALWithTilesReplays(t *testing.T) {
+	ref := New(Config{Workers: 1, Runner: singleRunner(newDigestCollector())})
+	ref.Start()
+	defer ref.Shutdown(context.Background())
+	refJob, err := ref.Submit(recoverySweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSt := waitTerminal(t, refJob)
+	if refSt.State != StateSucceeded {
+		t.Fatalf("reference run: %s (%s)", refSt.State, refSt.Error)
+	}
+
+	spec := recoverySweep()
+	payload, err := json.Marshal(record{Type: recSubmit, Job: "0ld7113d", Time: time.Now().UTC(), Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(payload, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["spec"].(map[string]any)["tiles"] = 4
+	if payload, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	frame = append(frame, payload...)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.wal"), append(append([]byte{}, journalMagic...), frame...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, err := Open(Config{DataDir: dir, Workers: 1, Runner: singleRunner(newDigestCollector())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.RecoveredJobs(); got != 1 {
+		t.Fatalf("recovered %d jobs, want 1", got)
+	}
+	svc.Start()
+	defer svc.Shutdown(context.Background())
+	job, ok := svc.Get("0ld7113d")
+	if !ok {
+		t.Fatal("replayed job not found")
+	}
+	st := waitTerminal(t, job)
+	if st.State != StateSucceeded || len(st.Cells) != 4 {
+		t.Fatalf("replayed job: %s (%s), %d cells", st.State, st.Error, len(st.Cells))
+	}
+	got, _ := json.Marshal(st.Output)
+	want, _ := json.Marshal(refSt.Output)
+	if string(got) != string(want) {
+		t.Fatalf("replayed output differs from the tiles-free run:\n  got  %s\n  want %s", got, want)
 	}
 }

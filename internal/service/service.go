@@ -651,6 +651,7 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
+	spec = s.withDefaultSeeds(spec)
 	tenant := s.cfg.Tenants.Canonical(opts.Tenant)
 
 	// The semaphore serializes the closed-check with the enqueue so no
@@ -715,6 +716,26 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 		s.repl.begin(job)
 	}
 	return job, false, nil
+}
+
+// DefaultSeeds is the seed count a submission that omits "seeds" runs
+// with: the base runner's Seeds, or experiment.DefaultSeeds when unset.
+func (s *Service) DefaultSeeds() int {
+	if s.cfg.Runner.Seeds > 0 {
+		return s.cfg.Runner.Seeds
+	}
+	return experiment.DefaultSeeds
+}
+
+// withDefaultSeeds resolves an omitted seed count at admission, so the
+// spec that is journaled, digested and run always names the seed count
+// that produces its result: a daemon restarted with a different -seeds
+// can never serve a cached result computed under the old default.
+func (s *Service) withDefaultSeeds(spec JobSpec) JobSpec {
+	if spec.Seeds == 0 {
+		spec.Seeds = s.DefaultSeeds()
+	}
+	return spec
 }
 
 // enqueue places an admitted job on its tenant's sub-queue and bumps the

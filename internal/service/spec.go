@@ -30,8 +30,6 @@ const (
 	MaxAlgorithms = 8
 	// MaxSweepPoints bounds the sweep axis length.
 	MaxSweepPoints = 64
-	// MaxTiles bounds the tiled-scheduler tile count per job.
-	MaxTiles = 64
 )
 
 // JobSpec is one simulation request: exactly one of Experiment (a named
@@ -42,8 +40,9 @@ type JobSpec struct {
 	Experiment string `json:"experiment,omitempty"`
 	// Sweep is a custom scenario sweep.
 	Sweep *SweepSpec `json:"sweep,omitempty"`
-	// Seeds is the number of replications per cell (default: the
-	// service's base runner, usually 3).
+	// Seeds is the number of replications per cell. An omitted value is
+	// resolved at admission to the admitting daemon's default (its -seeds),
+	// so journaled, forwarded and digested specs always carry it.
 	Seeds int `json:"seeds,omitempty"`
 	// BaseSeed is the first scenario seed (default 1).
 	BaseSeed uint64 `json:"base_seed,omitempty"`
@@ -55,14 +54,6 @@ type JobSpec struct {
 	// IncludeRaw keeps the per-seed metrics snapshots in the returned
 	// cells (they are stripped by default to keep responses small).
 	IncludeRaw bool `json:"include_raw,omitempty"`
-	// Tiles, when > 1, runs every cell on the tiled-parallel engine
-	// scheduler with that many arena tiles. The tiled schedule is proven
-	// bit-identical to the sequential one (see the harness equivalence
-	// suite), so this only changes wall-clock — but it is still folded
-	// into the spec digest, conservatively: the cache never presumes an
-	// equivalence, it only serves results for byte-identical canonical
-	// specs. 0 (or 1) keeps the sequential scheduler.
-	Tiles int `json:"tiles,omitempty"`
 }
 
 // SweepSpec is a custom parameter sweep: one scenario template, swept over
@@ -167,8 +158,6 @@ func (s JobSpec) Validate() error {
 		return invalidf("duration %g outside [0, %g]", s.Duration, MaxDuration)
 	case s.TimeoutSeconds < 0:
 		return invalidf("timeout_seconds %g is negative", s.TimeoutSeconds)
-	case s.Tiles < 0 || s.Tiles > MaxTiles:
-		return invalidf("tiles %d outside [0, %d]", s.Tiles, MaxTiles)
 	}
 	if s.Experiment != "" {
 		if _, err := experiment.ByID(s.Experiment); err != nil {
@@ -232,9 +221,6 @@ func (s JobSpec) run(ctx context.Context, base experiment.Runner, progress func(
 	}
 	if s.BaseSeed > 0 {
 		r.BaseSeed = s.BaseSeed
-	}
-	if s.Tiles > 0 {
-		r.Tiles = s.Tiles
 	}
 	if s.Duration > 0 {
 		prev := r.Mutate

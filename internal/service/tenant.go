@@ -117,17 +117,18 @@ func (s *Service) SubmitBatch(specs []JobSpec, opts SubmitOpts) ([]*Job, error) 
 	jobs := make([]*Job, len(specs))
 	entries := make([]batchEntry, len(specs))
 	for i := range specs {
-		job := newJob(specs[i], "", now)
+		spec := s.withDefaultSeeds(specs[i])
+		job := newJob(spec, "", now)
 		job.nowFn = s.cfg.Clock
 		job.tenant = tenant
 		if s.repl != nil {
 			job.replica = opts.Replica
 		}
 		if s.cfg.Cache != nil {
-			job.digest = specs[i].Digest()
+			job.digest = spec.Digest()
 		}
 		jobs[i] = job
-		entries[i] = batchEntry{Job: job.ID(), Spec: &specs[i]}
+		entries[i] = batchEntry{Job: job.ID(), Spec: &spec}
 	}
 	// The single append is the atomicity point: the whole batch becomes
 	// durable in one frame, and the store reflects every job before any

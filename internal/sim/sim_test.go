@@ -264,33 +264,3 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 	s.Drain()
 }
-
-func TestNextTimePeeksWithoutFiring(t *testing.T) {
-	s := NewScheduler()
-	if _, ok := s.NextTime(); ok {
-		t.Fatal("empty scheduler reported a pending event")
-	}
-	fired := 0
-	ev, err := s.At(5, func(float64) { fired++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.At(2, func(float64) { fired++ }); err != nil {
-		t.Fatal(err)
-	}
-	if tm, ok := s.NextTime(); !ok || tm != 2 {
-		t.Fatalf("NextTime = (%g, %v), want (2, true)", tm, ok)
-	}
-	if fired != 0 || s.Now() != 0 {
-		t.Fatalf("peek fired %d events / moved clock to %g", fired, s.Now())
-	}
-	// Canceled head events are skipped (and reaped) by the peek.
-	s.RunUntil(2)
-	s.Cancel(ev)
-	if _, ok := s.NextTime(); ok {
-		t.Fatal("NextTime saw only-canceled queue as live")
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("peek left %d canceled events queued", s.Pending())
-	}
-}

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"runtime"
 	"testing"
 
 	"mobic/internal/cluster"
@@ -109,7 +108,7 @@ const megaDuration = 240.0
 // therefore per-beacon work — matches the pinned workloads while total work
 // is 200x one. SampleInterval is stretched so the O(N^2) connectivity sampler
 // stays out of the measured beacon intervals.
-func megaNetwork(b *testing.B, tiles int) *Network {
+func megaNetwork(b *testing.B) *Network {
 	b.Helper()
 	area := geom.Square(9475) // 670 * sqrt(200)
 	cfg := Config{
@@ -121,40 +120,26 @@ func megaNetwork(b *testing.B, tiles int) *Network {
 		Mobility:       &mobility.RandomWaypoint{Area: area, MaxSpeed: 20},
 		TxRange:        250,
 		SampleInterval: 60,
-		Tiles:          tiles,
 	}
 	net, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if net.tiled != nil {
-		net.tiled.start(net)
-		b.Cleanup(net.tiled.stop)
-	}
-	net.advance(6) // warm up past the listen-only first round
+	net.sched.RunUntil(6) // warm up past the listen-only first round
 	return net
 }
 
 // BenchmarkMegaScenario measures one steady-state beacon interval of the
-// 10k-node preset, sequentially and on the tiled-parallel scheduler — the
-// ROADMAP's million-node-engine gate. The tiled sub-benchmark's ns/op over
-// the sequential one is the wall-clock speedup; both are pinned in
-// BENCH_engine.json.
+// 10k-node preset, pinned in BENCH_engine.json. The sub-benchmark keeps its
+// "sequential" name so the baseline key stays stable.
 func BenchmarkMegaScenario(b *testing.B) {
-	b.Run("sequential", func(b *testing.B) { runMegaIntervals(b, 0) })
-	b.Run("tiled", func(b *testing.B) {
-		tiles := 4 * runtime.GOMAXPROCS(0)
-		if tiles > 64 {
-			tiles = 64
-		}
-		runMegaIntervals(b, tiles)
-	})
+	b.Run("sequential", runMegaIntervals)
 }
 
 // runMegaIntervals advances the mega network one beacon interval per op,
 // rebuilding (off-timer) when the bounded trajectories run out.
-func runMegaIntervals(b *testing.B, tiles int) {
-	net := megaNetwork(b, tiles)
+func runMegaIntervals(b *testing.B) {
+	net := megaNetwork(b)
 	interval := net.cfg.BroadcastInterval
 	var fired uint64
 	b.ReportAllocs()
@@ -163,10 +148,10 @@ func runMegaIntervals(b *testing.B, tiles int) {
 		if net.sched.Now()+interval > megaDuration-1 {
 			b.StopTimer()
 			fired += net.sched.Fired()
-			net = megaNetwork(b, tiles)
+			net = megaNetwork(b)
 			b.StartTimer()
 		}
-		net.advance(net.sched.Now() + interval)
+		net.sched.RunUntil(net.sched.Now() + interval)
 	}
 	b.StopTimer()
 	if fired+net.sched.Fired() == 0 {

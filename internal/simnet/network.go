@@ -33,7 +33,7 @@ type neighborEntry struct {
 // reference-shaped (state machines, maps, events). The hot scalar state a
 // beacon tick reads and writes — down flag, cached mobility, tick count,
 // custom weight — lives in dense struct-of-arrays slices on the Network
-// instead (down, lastM, tickCount, customW), so the per-tile tick loop walks
+// instead (down, lastM, tickCount, customW), so the tick loop walks
 // cache-linear memory rather than chasing one pointer per node.
 type runtimeNode struct {
 	id      int32
@@ -103,9 +103,6 @@ type Network struct {
 	headRounds []int32
 	// depleted counts nodes killed by battery exhaustion.
 	depleted int
-	// tiled is the conservative-parallel window scheduler; nil when the
-	// run is sequential (Tiles <= 1 or a brute-force propagation model).
-	tiled *tiledRun
 	// obsRec receives engine telemetry; obs.Nop unless Config.Obs set one.
 	obsRec obs.Recorder
 	// bruteForce disables the spatial-index candidate query for
@@ -296,16 +293,6 @@ func New(cfg Config) (*Network, error) {
 			}
 		}
 	}
-	// The tiled-parallel scheduler needs a bounded candidate radius to plan
-	// deliveries ahead of time; stochastic propagation (shadowing) and
-	// forced brute force have none, so those runs stay sequential.
-	if cfg.Tiles > 1 && !n.bruteForce {
-		td, err := newTiledRun(n, cellSize)
-		if err != nil {
-			return nil, fmt.Errorf("simnet: building tiled scheduler: %w", err)
-		}
-		n.tiled = td
-	}
 	return n, nil
 }
 
@@ -413,11 +400,6 @@ func (n *Network) RunContext(ctx context.Context) (*Result, error) {
 	// path does no timing work at all. Telemetry never affects the
 	// simulation itself.
 	instrumented := n.obsRec.Enabled()
-	if n.tiled != nil {
-		n.tiled.start(n)
-		defer n.tiled.stop()
-		n.obsRec.Set(obs.TileCount, float64(n.tiled.tiling.Tiles()))
-	}
 	for now := n.sched.Now(); now < n.cfg.Duration; now = n.sched.Now() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -427,11 +409,11 @@ func (n *Network) RunContext(ctx context.Context) (*Result, error) {
 			horizon = n.cfg.Duration
 		}
 		if !instrumented {
-			n.advance(horizon)
+			n.sched.RunUntil(horizon)
 			continue
 		}
 		wallStart := time.Now()
-		n.advance(horizon)
+		n.sched.RunUntil(horizon)
 		wallEnd := time.Now()
 		if wall := wallEnd.Sub(wallStart).Seconds(); wall > 0 {
 			n.obsRec.Set(obs.SimRate, (horizon-now)/wall)
@@ -695,9 +677,9 @@ func (n *Network) helloBytes() int {
 
 // broadcast delivers rn's hello to every node whose received power clears
 // the threshold, subject to the loss model. Candidates are always visited in
-// ascending receiver-id order — the canonical delivery order every execution
-// mode (brute force, grid query, tiled plan) reproduces exactly, which is
-// what keeps the loss model's RNG draw sequence identical across them.
+// ascending receiver-id order — the canonical delivery order both candidate
+// modes (brute force, grid query) reproduce exactly, which is what keeps the
+// loss model's RNG draw sequence identical across them.
 func (n *Network) broadcast(rn *runtimeNode, now float64) {
 	n.rec.CountBroadcast(n.helloBytes())
 	n.obsRec.Add(obs.NetBeaconsSent, 1)
@@ -705,34 +687,6 @@ func (n *Network) broadcast(rn *runtimeNode, now float64) {
 		// Transmit cost; depletion is checked at the next tick, matching a
 		// radio that completes the frame its amplifier already started.
 		n.batteryJ[rn.id] -= n.cfg.Energy.TxCost(n.helloBytes())
-	}
-
-	// On the tiled scheduler, a tile worker usually precomputed this tick's
-	// exact transmit position and threshold-passing receiver set during the
-	// window's parallel phase; consume the plan. A plan can legitimately be
-	// missing (the node's beacon was rescheduled mid-window by a crash
-	// recovery) — fall through to the inline path, which computes the same
-	// thing on the spot.
-	if td := n.tiled; td != nil {
-		if p := &td.plans[rn.id]; p.t == now {
-			n.obsRec.Add(obs.TilePlannedTicks, 1)
-			txPos := p.txPos
-			n.grid.Update(rn.id, txPos)
-			n.emit(trace.Event{
-				T: now, Kind: trace.KindBroadcast, Node: rn.id, Other: -1,
-				Value: rn.cnode.Weight().Value,
-			})
-			adv := advertisement{
-				weight: rn.cnode.Weight(),
-				role:   rn.cnode.Role(),
-				head:   rn.cnode.Head(),
-			}
-			for _, d := range p.deliveries {
-				n.deliverAboveThreshold(rn, n.nodes[d.id], now, d.pr, adv)
-			}
-			return
-		}
-		n.obsRec.Add(obs.TileFallbackTicks, 1)
 	}
 
 	txPos := rn.traj.At(now)
@@ -782,19 +736,6 @@ func (n *Network) tryDeliver(tx, rx *runtimeNode, txPos geom.Point, now float64,
 	d := txPos.Dist(rxPos)
 	pr := n.cfg.Propagation.RxPower(n.cfg.TxPower, d)
 	if pr < n.rxThresh {
-		return
-	}
-	n.deliverAboveThreshold(tx, rx, now, pr, adv)
-}
-
-// deliverAboveThreshold is the post-threshold tail of a delivery: the loss
-// model's draw, then the MAC deferral or the immediate hand-up. The tiled
-// scheduler enters here directly with the received power a tile worker
-// precomputed; the down re-check makes a plan computed before a mid-window
-// crash land exactly like the sequential path (which checks down before the
-// power math — a pure computation, so the order is unobservable).
-func (n *Network) deliverAboveThreshold(tx, rx *runtimeNode, now, pr float64, adv advertisement) {
-	if n.down[rx.id] {
 		return
 	}
 	if n.cfg.Loss.Drops(tx.id, rx.id, now) {
@@ -990,25 +931,17 @@ func (n *Network) sampleClusters(now float64) {
 	}
 	n.touched = touched[:0]
 
-	// The connectivity snapshot is the sampler's O(N^2) part; on the tiled
-	// scheduler a worker precomputed it for this exact instant during the
-	// window's parallel phase (the computation is pure in the trajectories,
-	// so the cached component stats are bit-identical to the inline ones).
-	if td := n.tiled; td != nil && td.samplePlan.t == now {
-		n.rec.SampleTopology(now, td.samplePlan.comps, td.samplePlan.largest, len(n.nodes))
-	} else {
-		pos := n.topoPos[:0]
-		for _, rn := range n.nodes {
-			pos = append(pos, rn.traj.At(now))
-		}
-		n.topoPos = pos
-		if n.topo == nil {
-			n.topo = &graph.Adjacency{}
-		}
-		n.topo.Rebuild(pos, n.cfg.TxRange)
-		comps, largest := n.topo.ComponentStats()
-		n.rec.SampleTopology(now, comps, largest, len(n.nodes))
+	pos := n.topoPos[:0]
+	for _, rn := range n.nodes {
+		pos = append(pos, rn.traj.At(now))
 	}
+	n.topoPos = pos
+	if n.topo == nil {
+		n.topo = &graph.Adjacency{}
+	}
+	n.topo.Rebuild(pos, n.cfg.TxRange)
+	comps, largest := n.topo.ComponentStats()
+	n.rec.SampleTopology(now, comps, largest, len(n.nodes))
 	if now+n.cfg.SampleInterval <= n.cfg.Duration {
 		if err := n.sched.Reschedule(n.sampleEv, now+n.cfg.SampleInterval); err != nil {
 			return

@@ -35,9 +35,6 @@ awk -v t="$total" -v f="$floor" 'BEGIN { exit (t+0 >= f+0) ? 0 : 1 }' || {
 echo "== chaos soak (10s of seeded faults + a mid-soak worker kill, under -race)"
 go test -race -run='^TestChaosSoak$' -count=1 -v ./internal/dispatch | grep -E '^(=== RUN|--- (PASS|FAIL)|    chaos_soak|PASS|FAIL|ok)'
 
-echo "== tiled-scheduler race soak (explicit pass; also runs inside -race above)"
-go test -race -run='^TestTiledSchedulerRaceSoak$|^TestTiledMatchesSequential$' -count=1 -v ./internal/simnet | grep -E '^(=== RUN|--- (PASS|FAIL)|PASS|FAIL|ok)'
-
 echo "== allocation regression (hot path must stay zero-alloc, bare and instrumented; skipped under -race above)"
 go test -run='^TestSteadyStateTickAllocs' -count=1 -v ./internal/simnet | grep -E 'PASS|FAIL|allocates'
 
@@ -46,7 +43,6 @@ go test -run='^$' -fuzz='^FuzzSpec$' -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz='^FuzzSpecDigest$' -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz='^FuzzEngineInvariants$' -fuzztime=5s ./internal/cluster
-go test -run='^$' -fuzz='^FuzzTilePartition$' -fuzztime=5s ./internal/spatial
 go test -run='^$' -fuzz='^FuzzChaosSchedule$' -fuzztime=5s ./internal/chaos
 go test -run='^$' -fuzz='^FuzzTenantConfig$' -fuzztime=5s ./internal/fair
 go test -run='^$' -fuzz='^FuzzBatchBody$' -fuzztime=5s ./internal/service
