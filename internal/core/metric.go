@@ -53,29 +53,40 @@ func AggregateLocalMobility(pairwise []float64) float64 {
 	return stats.Var0(pairwise)
 }
 
-// sample is one neighbor's reception history: the two most recent received
-// powers and their timestamps. Two successive receptions are exactly what
-// equation 1 needs; older history is deliberately not kept (the paper's
-// "history" extension smooths the aggregate M instead, see Option WithEWMA).
-type sample struct {
+// Entry is one neighbor's record in a Table: the reception history of paper
+// §3.1 — the two most recent received powers and their timestamps, which is
+// exactly what equation 1 needs — plus the per-neighbor EWMA state and the
+// payload of the neighbor's latest hello. Older history is deliberately not
+// kept (the paper's "history" extension smooths M instead, see WithEWMA).
+type Entry[T any] struct {
+	count          uint8 // receptions recorded (saturates at 2)
+	smoothed       bool  // smoothedRel holds a value
 	prevPr, lastPr float64
 	prevT, lastT   float64
-	count          int // receptions recorded (saturates at 2)
 	// smoothedRel is the per-neighbor EWMA of Mrel (pairwise history).
 	smoothedRel float64
-	smoothed    bool
+	// Payload is what the neighbor's latest hello advertised (Hear).
+	Payload T
 }
 
-// Option configures a Tracker.
-type Option func(*Tracker)
+// Option configures a Table.
+type Option func(*history)
+
+// history holds a table's optional smoothing configuration and state.
+type history struct {
+	smoother *stats.EWMA
+	// pairAlpha, when in (0, 1), smooths each neighbor's Mrel stream
+	// before aggregation (WithPairwiseEWMA); 0 disables.
+	pairAlpha float64
+}
 
 // WithEWMA enables the Section 5 history extension: successive aggregate
 // mobility values are smoothed with an exponentially weighted moving average
 // of factor alpha in (0, 1]; alpha = 1 reproduces the memoryless paper
 // metric.
 func WithEWMA(alpha float64) Option {
-	return func(t *Tracker) {
-		t.smoother = stats.NewEWMA(alpha)
+	return func(h *history) {
+		h.smoother = stats.NewEWMA(alpha)
 	}
 }
 
@@ -85,143 +96,175 @@ func WithEWMA(alpha float64) Option {
 // per-link trends (a steadily approaching neighbor keeps a large |Mrel|)
 // where aggregate smoothing only remembers overall turbulence.
 func WithPairwiseEWMA(alpha float64) Option {
-	return func(t *Tracker) {
+	return func(h *history) {
 		if alpha <= 0 || alpha > 1 {
 			alpha = 1
 		}
-		t.pairAlpha = alpha
+		h.pairAlpha = alpha
 	}
 }
 
-// Tracker maintains, for one node, the reception history of every current
-// neighbor and computes the aggregate local mobility metric on demand. It is
-// the per-node state behind MOBIC.
+// Table is one node's neighbor table: an Entry per current neighbor, kept in
+// ascending neighbor-id order, with the aggregate local mobility metric
+// computed over it on demand. It is the per-node state behind MOBIC; T is
+// the hello payload the caller stores per neighbor.
 //
-// Tracker is not safe for concurrent use; the simulator is single-threaded.
-type Tracker struct {
-	neighbors map[int32]*sample
-	smoother  *stats.EWMA
-	// pairAlpha, when in (0, 1), smooths each neighbor's Mrel stream
-	// before aggregation (WithPairwiseEWMA); 0 disables.
-	pairAlpha float64
+// Because the entries are always in ascending id order, every fold over
+// them — the variance behind M, the caller's own folds over Entries — runs
+// in one canonical order by construction. Floating-point addition is not
+// associative, so that order is what keeps repeated runs bit-identical.
+//
+// The ids live in their own slice, parallel to the entries: the binary
+// search behind every reception then reads a few cache lines of dense ids
+// instead of striding across whole entries.
+//
+// A Table grows on demand and keeps its capacity across purges, so a node
+// whose neighborhood has stopped growing updates its table without
+// allocating. Table is not safe for concurrent use; the simulator is
+// single-threaded.
+type Table[T any] struct {
+	ids     []int32 // sorted ascending; ids[i] is entries[i]'s neighbor
+	entries []Entry[T]
+	history
 	// scratch avoids a per-Aggregate allocation on the simulator hot path.
 	scratch []float64
-	// idScratch holds the sorted neighbor ids Pairwise iterates over, so
-	// the variance fold is independent of map iteration order (floating-
-	// point addition is not associative; a canonical order keeps repeated
-	// runs bit-identical).
-	idScratch []int32
-	// free recycles expired samples: under a lossy MAC, neighbors expire
-	// and reappear every few beacons, and re-allocating their history
-	// records would be the last allocation on the simulator hot path.
-	free []*sample
+}
+
+// Tracker is a Table that stores no hello payload: the reception history
+// and the metric alone.
+type Tracker = Table[struct{}]
+
+// NewTable returns an empty table.
+func NewTable[T any](opts ...Option) *Table[T] {
+	tb := &Table[T]{}
+	for _, opt := range opts {
+		opt(&tb.history)
+	}
+	return tb
 }
 
 // NewTracker returns an empty tracker.
-func NewTracker(opts ...Option) *Tracker {
-	t := &Tracker{neighbors: make(map[int32]*sample)}
-	for _, opt := range opts {
-		opt(t)
+func NewTracker(opts ...Option) *Tracker { return NewTable[struct{}](opts...) }
+
+// find returns the position of id in the table, or where it would be
+// inserted, and whether it is present.
+func (tb *Table[T]) find(id int32) (int, bool) {
+	ids := tb.ids
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return t
+	return lo, lo < len(ids) && ids[lo] == id
 }
 
 // Observe records the reception of a hello from neighbor id at time t with
 // received power rxPr (Watts). Calls must be monotone in t per neighbor.
-func (tr *Tracker) Observe(id int32, t, rxPr float64) error {
+func (tb *Table[T]) Observe(id int32, t, rxPr float64) error {
+	_, _, err := tb.observe(id, t, rxPr)
+	return err
+}
+
+// Hear is Observe for a table with a payload: it records the reception and
+// stores the hello's payload, and reports whether id was new to the table.
+func (tb *Table[T]) Hear(id int32, t, rxPr float64, payload T) (added bool, err error) {
+	e, added, err := tb.observe(id, t, rxPr)
+	if err != nil {
+		return false, err
+	}
+	e.Payload = payload
+	return added, nil
+}
+
+// observe implements Observe and returns the neighbor's entry and whether it
+// was inserted by this call.
+func (tb *Table[T]) observe(id int32, t, rxPr float64) (*Entry[T], bool, error) {
 	if !(rxPr > 0) || math.IsInf(rxPr, 1) || math.IsNaN(rxPr) {
-		return fmt.Errorf("%w: %g from neighbor %d", ErrNonPositivePower, rxPr, id)
+		return nil, false, fmt.Errorf("%w: %g from neighbor %d", ErrNonPositivePower, rxPr, id)
 	}
-	s, ok := tr.neighbors[id]
-	if !ok {
-		if k := len(tr.free); k > 0 {
-			s = tr.free[k-1]
-			tr.free[k-1] = nil
-			tr.free = tr.free[:k-1]
-			*s = sample{}
-		} else {
-			s = &sample{}
-		}
-		tr.neighbors[id] = s
+	i, found := tb.find(id)
+	if !found {
+		tb.ids = slices.Insert(tb.ids, i, id)
+		tb.entries = slices.Insert(tb.entries, i, Entry[T]{})
 	}
-	s.prevPr, s.prevT = s.lastPr, s.lastT
-	s.lastPr, s.lastT = rxPr, t
-	if s.count < 2 {
-		s.count++
+	e := &tb.entries[i]
+	e.prevPr, e.prevT = e.lastPr, e.lastT
+	e.lastPr, e.lastT = rxPr, t
+	if e.count < 2 {
+		e.count++
 	}
-	if s.count >= 2 && tr.pairAlpha > 0 && tr.pairAlpha < 1 {
-		rel, err := RelativeMobility(s.prevPr, s.lastPr)
+	if e.count >= 2 && tb.pairAlpha > 0 && tb.pairAlpha < 1 {
+		rel, err := RelativeMobility(e.prevPr, e.lastPr)
 		if err == nil {
-			if !s.smoothed {
-				s.smoothedRel = rel
-				s.smoothed = true
+			if !e.smoothed {
+				e.smoothedRel = rel
+				e.smoothed = true
 			} else {
-				s.smoothedRel = tr.pairAlpha*rel + (1-tr.pairAlpha)*s.smoothedRel
+				e.smoothedRel = tb.pairAlpha*rel + (1-tb.pairAlpha)*e.smoothedRel
 			}
 		}
 	}
-	return nil
+	return e, !found, nil
 }
 
-// Forget drops neighbor id entirely (e.g., on an explicit leave).
-func (tr *Tracker) Forget(id int32) {
-	if s, ok := tr.neighbors[id]; ok {
-		delete(tr.neighbors, id)
-		tr.free = append(tr.free, s)
-	}
-}
-
-// Expire purges neighbors not heard since now-timeout and returns how many
-// were dropped. This implements the paper's heuristic that only nodes that
-// participated in recent successive transmissions count toward M, combined
-// with the hello protocol's timeout period (Table 1: TP).
-func (tr *Tracker) Expire(now, timeout float64) int {
-	dropped := 0
-	for id, s := range tr.neighbors {
-		if s.lastT < now-timeout {
-			delete(tr.neighbors, id)
-			tr.free = append(tr.free, s)
-			dropped++
+// Purge drops every neighbor not heard since now-timeout and returns how
+// many were dropped. This implements the paper's heuristic that only nodes
+// that participated in recent successive transmissions count toward M,
+// combined with the hello protocol's timeout period (Table 1: TP).
+//
+// The purge is one in-place compaction that keeps the table's capacity.
+// When dropped is non-nil it is called with each dropped id, in ascending
+// order, while the compaction runs; it must not touch the table.
+func (tb *Table[T]) Purge(now, timeout float64, dropped func(id int32)) int {
+	live := 0
+	for i := range tb.entries {
+		if tb.entries[i].lastT < now-timeout {
+			if dropped != nil {
+				dropped(tb.ids[i])
+			}
+			continue
 		}
+		tb.ids[live], tb.entries[live] = tb.ids[i], tb.entries[i]
+		live++
 	}
-	return dropped
-}
-
-// NeighborCount returns the number of tracked neighbors (any reception count).
-func (tr *Tracker) NeighborCount() int { return len(tr.neighbors) }
-
-// EligibleCount returns the number of neighbors with at least two receptions,
-// i.e. those contributing to the aggregate metric.
-func (tr *Tracker) EligibleCount() int {
-	n := 0
-	for _, s := range tr.neighbors {
-		if s.count >= 2 {
-			n++
-		}
-	}
+	n := len(tb.entries) - live
+	tb.ids, tb.entries = tb.ids[:live], tb.entries[:live]
 	return n
 }
 
+// Expire is Purge without a per-id callback.
+func (tb *Table[T]) Expire(now, timeout float64) int { return tb.Purge(now, timeout, nil) }
+
+// NeighborCount returns the number of tracked neighbors (any reception count).
+func (tb *Table[T]) NeighborCount() int { return len(tb.entries) }
+
+// IDs returns the current neighbor ids in ascending order, and Entries their
+// records: Entries()[i] belongs to neighbor IDs()[i]. Both slices alias the
+// table: read them, and do not keep them across calls that change the table.
+func (tb *Table[T]) IDs() []int32 { return tb.ids }
+
+// Entries returns the records of the neighbors listed by IDs, in the same
+// order.
+func (tb *Table[T]) Entries() []Entry[T] { return tb.entries }
+
 // Pairwise appends the pairwise relative mobility (dB) for every eligible
-// neighbor to dst, in ascending neighbor-id order, and returns the extended
-// slice. The canonical order matters: the aggregate sums these values, and
-// summing in Go's randomized map order would make the last bits of M — and
-// therefore election outcomes — depend on iteration luck.
-func (tr *Tracker) Pairwise(dst []float64) []float64 {
-	tr.idScratch = tr.idScratch[:0]
-	for id, s := range tr.neighbors {
-		if s.count >= 2 {
-			tr.idScratch = append(tr.idScratch, id)
-		}
-	}
-	slices.Sort(tr.idScratch)
-	for _, id := range tr.idScratch {
-		s := tr.neighbors[id]
-		if s.smoothed {
-			dst = append(dst, s.smoothedRel)
+// neighbor — one with at least two receptions — to dst, in ascending
+// neighbor-id order, and returns the extended slice.
+func (tb *Table[T]) Pairwise(dst []float64) []float64 {
+	for i := range tb.entries {
+		e := &tb.entries[i]
+		if e.count < 2 {
 			continue
 		}
-		rel, err := RelativeMobility(s.prevPr, s.lastPr)
+		if e.smoothed {
+			dst = append(dst, e.smoothedRel)
+			continue
+		}
+		rel, err := RelativeMobility(e.prevPr, e.lastPr)
 		if err != nil {
 			// Observe validated both powers; this cannot happen.
 			continue
@@ -235,22 +278,19 @@ func (tr *Tracker) Pairwise(dst []float64) []float64 {
 // var0 over all eligible neighbors' pairwise values, passed through the EWMA
 // smoother when configured. With no eligible neighbors it returns 0 (the
 // paper's initial value) — smoothed, if smoothing is on.
-func (tr *Tracker) Aggregate() float64 {
-	tr.scratch = tr.Pairwise(tr.scratch[:0])
-	m := AggregateLocalMobility(tr.scratch)
-	if tr.smoother != nil {
-		return tr.smoother.Update(m)
+func (tb *Table[T]) Aggregate() float64 {
+	tb.scratch = tb.Pairwise(tb.scratch[:0])
+	m := AggregateLocalMobility(tb.scratch)
+	if tb.smoother != nil {
+		return tb.smoother.Update(m)
 	}
 	return m
 }
 
-// Reset clears all neighbor history and smoother state.
-func (tr *Tracker) Reset() {
-	for _, s := range tr.neighbors {
-		tr.free = append(tr.free, s)
-	}
-	clear(tr.neighbors)
-	if tr.smoother != nil {
-		tr.smoother.Reset()
+// Reset clears all neighbor history and smoother state, keeping capacity.
+func (tb *Table[T]) Reset() {
+	tb.ids, tb.entries = tb.ids[:0], tb.entries[:0]
+	if tb.smoother != nil {
+		tb.smoother.Reset()
 	}
 }

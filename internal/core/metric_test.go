@@ -108,8 +108,8 @@ func TestTrackerNeedsTwoSamples(t *testing.T) {
 	if tr.NeighborCount() != 1 {
 		t.Errorf("NeighborCount = %d, want 1", tr.NeighborCount())
 	}
-	if tr.EligibleCount() != 0 {
-		t.Errorf("EligibleCount = %d, want 0 after one sample", tr.EligibleCount())
+	if got := len(tr.Pairwise(nil)); got != 0 {
+		t.Errorf("%d eligible neighbors, want 0 after one sample", got)
 	}
 	if got := tr.Aggregate(); got != 0 {
 		t.Errorf("Aggregate with no eligible neighbors = %v, want 0", got)
@@ -117,8 +117,8 @@ func TestTrackerNeedsTwoSamples(t *testing.T) {
 	if err := tr.Observe(1, 2, 2e-9); err != nil {
 		t.Fatal(err)
 	}
-	if tr.EligibleCount() != 1 {
-		t.Errorf("EligibleCount = %d, want 1", tr.EligibleCount())
+	if got := len(tr.Pairwise(nil)); got != 1 {
+		t.Errorf("%d eligible neighbors, want 1", got)
 	}
 	want, err := RelativeMobility(1e-9, 2e-9)
 	if err != nil {
@@ -196,13 +196,8 @@ func TestTrackerExpire(t *testing.T) {
 	}
 }
 
-func TestTrackerForgetAndReset(t *testing.T) {
+func TestTrackerReset(t *testing.T) {
 	tr := NewTracker()
-	mustObserve(t, tr, 1, 0, 1e-9)
-	tr.Forget(1)
-	if tr.NeighborCount() != 0 {
-		t.Error("Forget should remove neighbor")
-	}
 	mustObserve(t, tr, 2, 0, 1e-9)
 	tr.Reset()
 	if tr.NeighborCount() != 0 {

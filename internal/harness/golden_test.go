@@ -3,8 +3,10 @@ package harness
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -13,14 +15,35 @@ var update = flag.Bool("update", false, "rewrite the golden digest file")
 
 const goldenPath = "testdata/digests.json"
 
+// goldenDigest is one golden-file entry: a run's digest plus its window
+// checkpoints (Digester.Windows), which locate where a drifted run first
+// diverged.
+type goldenDigest struct {
+	Digest
+	Windows []string `json:"windows"`
+}
+
+// firstDivergence describes the first window whose checkpoint differs
+// between the golden and the computed run.
+func firstDivergence(want, got []string) string {
+	k := 0
+	for k < len(want) && k < len(got) && want[k] == got[k] {
+		k++
+	}
+	if k == len(want) && k == len(got) {
+		return "no window (checkpoints agree)"
+	}
+	return fmt.Sprintf("[%g s, %g s)", float64(k)*windowSeconds, float64(k+1)*windowSeconds)
+}
+
 // loadGoldenDigests reads the committed golden digest file.
-func loadGoldenDigests(t *testing.T) map[string]Digest {
+func loadGoldenDigests(t *testing.T) map[string]goldenDigest {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("reading golden file (refresh with -update): %v", err)
 	}
-	var want map[string]Digest
+	var want map[string]goldenDigest
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("parsing %s: %v", goldenPath, err)
 	}
@@ -30,12 +53,12 @@ func loadGoldenDigests(t *testing.T) map[string]Digest {
 // computeGoldenDigests runs every pinned (workload, algorithm, seed) cell
 // and returns its digest, keyed by GoldenKey. Runs execute in parallel —
 // each is an independent single-threaded simulation.
-func computeGoldenDigests(t *testing.T) map[string]Digest {
+func computeGoldenDigests(t *testing.T) map[string]goldenDigest {
 	t.Helper()
 	var (
 		mu  sync.Mutex
 		wg  sync.WaitGroup
-		out = make(map[string]Digest)
+		out = make(map[string]goldenDigest)
 	)
 	for _, r := range GoldenRuns() {
 		for _, seed := range GoldenSeeds() {
@@ -48,11 +71,12 @@ func computeGoldenDigests(t *testing.T) map[string]Digest {
 					t.Errorf("%s/%s: %v", w.Name, alg.Name, err)
 					return
 				}
-				dig, _, err := DigestRun(cfg)
+				d, _, err := runDigester(cfg)
 				if err != nil {
 					t.Errorf("%s/%s: %v", w.Name, alg.Name, err)
 					return
 				}
+				dig := goldenDigest{Digest: Digest{SHA256: d.Sum(), Events: d.Count()}, Windows: d.Windows()}
 				mu.Lock()
 				out[GoldenKey(w.Name, alg.Name, seed)] = dig
 				mu.Unlock()
@@ -70,7 +94,8 @@ func computeGoldenDigests(t *testing.T) map[string]Digest {
 //	go test ./internal/harness -run TestGoldenDigests -update
 //
 // and the diff of testdata/digests.json documents exactly which (workload,
-// algorithm, seed) cells moved.
+// algorithm, seed) cells moved. A drifted digest is reported with the first
+// 10 s window of simulated time whose checkpoint differs.
 func TestGoldenDigests(t *testing.T) {
 	got := computeGoldenDigests(t)
 	if t.Failed() {
@@ -103,9 +128,12 @@ func TestGoldenDigests(t *testing.T) {
 			t.Errorf("%s: in golden file but no longer pinned", key)
 			continue
 		}
-		if g != w {
-			t.Errorf("%s: digest drifted\n  golden: %s (%d events)\n  got:    %s (%d events)",
-				key, w.SHA256, w.Events, g.SHA256, g.Events)
+		if g.Digest != w.Digest {
+			t.Errorf("%s: digest drifted, first divergence in %s\n  golden: %s (%d events)\n  got:    %s (%d events)",
+				key, firstDivergence(w.Windows, g.Windows), w.SHA256, w.Events, g.SHA256, g.Events)
+		} else if !slices.Equal(g.Windows, w.Windows) {
+			t.Errorf("%s: digest matches but window checkpoints differ from %s (refresh with -update)",
+				key, firstDivergence(w.Windows, g.Windows))
 		}
 	}
 }

@@ -53,14 +53,23 @@ import (
 // what lets the grid-vs-brute-force differential test demand byte-equal
 // digests.
 //
+// The digester also checkpoints its running digest every 10 simulated
+// seconds (Windows), so two runs whose digests differ can be told apart by
+// the first window whose checkpoint differs.
+//
 // Digester is not safe for concurrent use; a simulation run is
 // single-threaded, so one digester per Network is the natural shape.
 type Digester struct {
-	h     hash.Hash
-	t     float64
-	group []trace.Event
-	count uint64
+	h       hash.Hash
+	t       float64
+	group   []trace.Event
+	count   uint64
+	windows []string
 }
+
+// windowSeconds is the width, in simulated seconds, of the windows whose
+// running digests Digester checkpoints.
+const windowSeconds = 10.0
 
 // NewDigester returns an empty digester.
 func NewDigester() *Digester {
@@ -85,6 +94,7 @@ func (d *Digester) Observe(ev trace.Event) {
 	}
 	if ev.T != d.t {
 		d.flush()
+		d.checkpoint(ev.T)
 		d.t = ev.T
 	}
 	d.group = append(d.group, ev)
@@ -121,6 +131,23 @@ func (d *Digester) flush() {
 	d.group = d.group[:0]
 }
 
+// checkpoint records the running digest at every window boundary at or
+// before t that has not been recorded yet. Observe calls it after flushing
+// the previous timestamp's group and before folding in any event at t, so a
+// checkpoint covers exactly the events before its boundary.
+func (d *Digester) checkpoint(t float64) {
+	for t >= float64(len(d.windows)+1)*windowSeconds {
+		var sum [sha256.Size]byte
+		d.windows = append(d.windows, hex.EncodeToString(d.h.Sum(sum[:0])[:8]))
+	}
+}
+
+// Windows returns the checkpoints recorded so far: element k is the first
+// 16 hex digits of the running digest over every event before
+// (k+1)·windowSeconds. After Sum, the last element covers the window that
+// holds the final event. Empty windows repeat the previous checkpoint.
+func (d *Digester) Windows() []string { return d.windows }
+
 // Count returns the number of events folded in so far.
 func (d *Digester) Count() uint64 { return d.count }
 
@@ -128,6 +155,7 @@ func (d *Digester) Count() uint64 { return d.count }
 // after the run completed; further Observe calls after Sum are undefined.
 func (d *Digester) Sum() string {
 	d.flush()
+	d.checkpoint(d.t + windowSeconds)
 	return hex.EncodeToString(d.h.Sum(nil))
 }
 
@@ -146,6 +174,16 @@ type Digest struct {
 // the run's canonical digest alongside its result. Any observer already in
 // cfg is chained after the digester, so callers can still tap the stream.
 func DigestRun(cfg simnet.Config) (Digest, *simnet.Result, error) {
+	d, res, err := runDigester(cfg)
+	if err != nil {
+		return Digest{}, nil, err
+	}
+	return Digest{SHA256: d.Sum(), Events: d.Count()}, res, nil
+}
+
+// runDigester is DigestRun returning the digester itself, so callers can
+// read its window checkpoints as well as its digest.
+func runDigester(cfg simnet.Config) (*Digester, *simnet.Result, error) {
 	d := NewDigester()
 	prev := cfg.Observer
 	cfg.Observer = func(ev trace.Event) {
@@ -156,11 +194,11 @@ func DigestRun(cfg simnet.Config) (Digest, *simnet.Result, error) {
 	}
 	net, err := simnet.New(cfg)
 	if err != nil {
-		return Digest{}, nil, err
+		return nil, nil, err
 	}
 	res, err := net.Run()
 	if err != nil {
-		return Digest{}, nil, err
+		return nil, nil, err
 	}
-	return Digest{SHA256: d.Sum(), Events: d.Count()}, res, nil
+	return d, res, nil
 }

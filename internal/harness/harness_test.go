@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"mobic/internal/simnet"
 	"mobic/internal/trace"
 )
 
@@ -92,5 +93,60 @@ func TestDigesterSensitiveToValues(t *testing.T) {
 	b.Observe(trace.Event{T: 1.0, Kind: trace.KindDeliver, Node: 1, Other: 2, Value: 2e-9})
 	if a.Sum() == b.Sum() {
 		t.Error("digest ignores delivery values")
+	}
+}
+
+// Window checkpoints locate a divergence: two streams that differ only in
+// one event at t=25 share the checkpoints of [0 s, 10 s) and [10 s, 20 s),
+// differ from [20 s, 30 s) on, and the golden test's locator names that
+// window. Checkpointing leaves Sum untouched.
+func TestDigesterWindowsLocateDivergence(t *testing.T) {
+	feed := func(v float64) *Digester {
+		d := NewDigester()
+		for _, ev := range []trace.Event{
+			{T: 1, Kind: trace.KindDeliver, Node: 1, Other: 2, Value: 1e-9},
+			{T: 12, Kind: trace.KindDeliver, Node: 2, Other: 1, Value: 1e-9},
+			{T: 25, Kind: trace.KindDeliver, Node: 1, Other: 2, Value: v},
+			{T: 25, Kind: trace.KindHeadChange, Node: 2, Other: 1, Value: -1},
+			{T: 47, Kind: trace.KindRoleChange, Node: 1, Other: -1, Value: 2},
+		} {
+			d.Observe(ev)
+		}
+		return d
+	}
+	a, b := feed(1e-9), feed(2e-9)
+	sa, sb := a.Sum(), b.Sum()
+	if sa == sb {
+		t.Fatal("differing streams digested identically")
+	}
+	wa, wb := a.Windows(), b.Windows()
+	if len(wa) != 5 || len(wb) != 5 {
+		t.Fatalf("got %d and %d windows for events up to t=47, want 5", len(wa), len(wb))
+	}
+	if wa[4] != sa[:16] || wb[4] != sb[:16] {
+		t.Error("last window checkpoint is not the final digest")
+	}
+	if wa[0] != wb[0] || wa[1] != wb[1] || wa[2] == wb[2] {
+		t.Errorf("checkpoints %v vs %v: want equal before t=20, different after", wa, wb)
+	}
+	if wa[3] != wa[2] {
+		t.Error("an empty window must repeat the previous checkpoint")
+	}
+	if got := firstDivergence(wa, wb); got != "[20 s, 30 s)" {
+		t.Errorf("firstDivergence = %q, want [20 s, 30 s)", got)
+	}
+	if got := firstDivergence(wa, wa[:3]); got != "[30 s, 40 s)" {
+		t.Errorf("firstDivergence on a truncated run = %q, want [30 s, 40 s)", got)
+	}
+	if a.Sum() != sa || len(a.Windows()) != 5 {
+		t.Error("a repeated Sum changed the digest or its windows")
+	}
+}
+
+// A configuration simnet rejects surfaces as DigestRun's error, not as a
+// digest of an empty run.
+func TestDigestRunReportsConfigErrors(t *testing.T) {
+	if dig, res, err := DigestRun(simnet.Config{N: -1}); err == nil {
+		t.Errorf("DigestRun(N=-1) = %+v, %v, want an error", dig, res)
 	}
 }

@@ -60,8 +60,8 @@ func TestAdaptiveBIDisabledMatchesBaseline(t *testing.T) {
 	p.Seed = 1
 	got := digestParams(t, p, cluster.MOBIC)
 	key := GoldenKey("fig3-tx100", cluster.MOBIC.Name, 1)
-	if got != want[key] {
-		t.Errorf("policy-free run drifted from golden %s:\n  golden: %+v\n  got:    %+v", key, want[key], got)
+	if got != want[key].Digest {
+		t.Errorf("policy-free run drifted from golden %s:\n  golden: %+v\n  got:    %+v", key, want[key].Digest, got)
 	}
 }
 

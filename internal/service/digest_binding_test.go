@@ -26,9 +26,29 @@ type versionBinding struct {
 	// SpecDigestVersion is the cache/placement domain-separation tag from
 	// internal/service/digest.go.
 	SpecDigestVersion string `json:"spec_digest_version"`
-	// TraceDigestsSHA256 is the hash of the golden trace digest file
-	// internal/harness/testdata/digests.json, byte for byte.
+	// TraceDigestsSHA256 is the hash of the golden trace digests in
+	// internal/harness/testdata/digests.json (see goldenTraceHash).
 	TraceDigestsSHA256 string `json:"trace_digests_sha256"`
+}
+
+// goldenTraceHash hashes what the engine's output determines in the golden
+// file — each run's sha256 and event count, re-encoded in the file's
+// indented JSON layout — and nothing else. The per-window checkpoints stored
+// beside them locate divergences; they are not part of the output contract.
+func goldenTraceHash(raw []byte) (string, error) {
+	var golden map[string]struct {
+		SHA256 string `json:"sha256"`
+		Events uint64 `json:"events"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		return "", err
+	}
+	canon, err := json.MarshalIndent(golden, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(append(canon, '\n'))
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // TestSpecDigestVersionBinding fails when the golden trace digests are
@@ -42,10 +62,13 @@ func TestSpecDigestVersionBinding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden trace digests: %v", err)
 	}
-	sum := sha256.Sum256(raw)
+	traceHash, err := goldenTraceHash(raw)
+	if err != nil {
+		t.Fatalf("parsing golden trace digests: %v", err)
+	}
 	current := versionBinding{
 		SpecDigestVersion:  specDigestVersion,
-		TraceDigestsSHA256: hex.EncodeToString(sum[:]),
+		TraceDigestsSHA256: traceHash,
 	}
 
 	path := filepath.Join("testdata", "digest_version_binding.json")

@@ -55,10 +55,11 @@ func steadyStateAllocsMut(t *testing.T, rec obs.Recorder, mutate func(*Config)) 
 
 // TestSteadyStateTickAllocs is the allocation regression gate for the
 // engine hot path: once a static network has converged, advancing the
-// simulation — beacons, MAC airtime deferrals, deliveries, tracker updates,
-// clustering steps and the periodic cluster sampler — must allocate nothing.
-// Every object on that path (events, receptions, neighbor entries, candidate
-// and view buffers, sampler tables, the topology graph) is pooled or reused;
+// simulation — beacons, MAC airtime deferrals, deliveries, neighbor-table
+// updates, clustering steps and the periodic cluster sampler — must allocate
+// nothing. Every object on that path (events, receptions, neighbor tables,
+// candidate and view buffers, sampler tables, the topology graph) is pooled
+// or reused;
 // a regression in any of them shows up here as a nonzero count.
 func TestSteadyStateTickAllocs(t *testing.T) {
 	if raceEnabled {

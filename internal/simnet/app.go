@@ -47,7 +47,8 @@ type AppAPI interface {
 	// Head returns a node's current clusterhead (NoHead if none).
 	Head(id int32) int32
 	// AudibleHeads returns the clusterheads currently in a node's
-	// neighbor table — what the node itself knows, not ground truth.
+	// neighbor table — what the node itself knows, not ground truth — in
+	// ascending ID order.
 	AudibleHeads(id int32) []int32
 	// Neighbors returns every entry in a node's hello neighbor table, in
 	// ascending ID order (deterministic).
@@ -72,9 +73,11 @@ func (a *appAPI) Role(id int32) cluster.Role { return a.n.nodes[id].cnode.Role()
 func (a *appAPI) Head(id int32) int32        { return a.n.nodes[id].cnode.Head() }
 
 func (a *appAPI) AudibleHeads(id int32) []int32 {
+	table := a.n.nodes[id].table
+	entries := table.Entries()
 	var out []int32
-	for nid, e := range a.n.nodes[id].table {
-		if e.role == cluster.RoleHead {
+	for i, nid := range table.IDs() {
+		if entries[i].Payload.role == cluster.RoleHead {
 			out = append(out, nid)
 		}
 	}
@@ -82,12 +85,7 @@ func (a *appAPI) AudibleHeads(id int32) []int32 {
 }
 
 func (a *appAPI) Neighbors(id int32) []int32 {
-	out := make([]int32, 0, len(a.n.nodes[id].table))
-	for nid := range a.n.nodes[id].table {
-		out = append(out, nid)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Clone(a.n.nodes[id].table.IDs())
 }
 
 func (a *appAPI) After(delay float64, fn func(now float64)) error {

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 
 	"mobic/internal/cluster"
@@ -124,9 +125,12 @@ func TestAppAPIIntrospection(t *testing.T) {
 			if api.Head(1) != 0 {
 				t.Errorf("head(1) = %d", api.Head(1))
 			}
-			// The middle node hears both heads.
-			if got := len(api.AudibleHeads(1)); got != 2 {
-				t.Errorf("AudibleHeads(1) = %d, want 2", got)
+			// The middle node hears both heads, listed in ascending ID
+			// order on every call.
+			for i := 0; i < 20; i++ {
+				if got := api.AudibleHeads(1); !slices.Equal(got, []int32{0, 2}) {
+					t.Fatalf("AudibleHeads(1) call %d = %v, want [0 2]", i, got)
+				}
 			}
 			nbs := api.Neighbors(1)
 			if len(nbs) != 2 || nbs[0] != 0 || nbs[1] != 2 {

@@ -20,27 +20,20 @@ import (
 	"mobic/internal/trace"
 )
 
-// neighborEntry is what the hello protocol knows about one neighbor from its
-// most recent beacon.
-type neighborEntry struct {
-	lastHeard float64
-	weight    cluster.Weight
-	role      cluster.Role
-	head      int32
-}
-
 // runtimeNode is the per-node simulation state that is inherently
-// reference-shaped (state machines, maps, events). The hot scalar state a
-// beacon tick reads and writes — down flag, cached mobility, tick count,
-// custom weight — lives in dense struct-of-arrays slices on the Network
-// instead (down, lastM, tickCount, customW), so the tick loop walks
+// reference-shaped (state machines, neighbor tables, events). The hot scalar
+// state a beacon tick reads and writes — down flag, cached mobility, tick
+// count, custom weight — lives in dense struct-of-arrays slices on the
+// Network instead (down, lastM, tickCount, customW), so the tick loop walks
 // cache-linear memory rather than chasing one pointer per node.
 type runtimeNode struct {
-	id      int32
-	cnode   *cluster.Node
-	tracker *core.Tracker
-	traj    *mobility.Trajectory
-	table   map[int32]*neighborEntry
+	id    int32
+	cnode *cluster.Node
+	traj  *mobility.Trajectory
+	// table is what the hello protocol knows about each neighbor, in
+	// ascending id order: the RxPr history behind M and the clustering
+	// state its latest beacon advertised.
+	table *core.Table[advertisement]
 	// tickEv is the node's persistent hello-protocol event: the callback is
 	// bound once at construction and the same event is rescheduled for
 	// every beacon, so a steady beacon stream allocates neither events nor
@@ -119,15 +112,8 @@ type Network struct {
 	// scratch buffers reused across broadcasts and ticks.
 	candBuf []int32
 	viewBuf []cluster.NeighborView
-	// idBuf holds the sorted neighbor ids of the node currently ticking.
-	// The canonical ascending order makes timeout emission, the neighbor
-	// views handed to the clustering step, and the oracle-mobility fold all
-	// independent of Go's randomized map iteration.
-	idBuf []int32
-	// rxFree and entryFree recycle MAC receptions and neighbor-table
-	// entries.
-	rxFree    []*reception
-	entryFree []*neighborEntry
+	// rxFree recycles MAC receptions.
+	rxFree []*reception
 	// sampler scratch: cluster sizes indexed by head id, the list of head
 	// ids touched this sample, the sizes handed to the recorder, the
 	// position snapshot, and the reusable topology graph.
@@ -236,11 +222,10 @@ func New(cfg Config) (*Network, error) {
 			opts = append(opts, core.WithPairwiseEWMA(a))
 		}
 		rn := &runtimeNode{
-			id:      id,
-			cnode:   cluster.NewNode(id, cfg.Algorithm.Policy),
-			tracker: core.NewTracker(opts...),
-			traj:    trajs[i],
-			table:   make(map[int32]*neighborEntry),
+			id:    id,
+			cnode: cluster.NewNode(id, cfg.Algorithm.Policy),
+			traj:  trajs[i],
+			table: core.NewTable[advertisement](opts...),
 		}
 		rn.cnode.OnRoleChange(func(now float64, old, newRole cluster.Role) {
 			n.rec.RoleChange(now, id, old, newRole)
@@ -305,11 +290,7 @@ func (n *Network) crash(rn *runtimeNode, now float64) {
 	}
 	n.down[rn.id] = true
 	rn.cnode.Reset(now)
-	rn.tracker.Reset()
-	for _, e := range rn.table {
-		n.releaseEntry(e)
-	}
-	clear(rn.table)
+	rn.table.Reset()
 	for _, rec := range rn.pendingRx {
 		n.sched.Cancel(rec.ev)
 		n.releaseReception(rec)
@@ -442,11 +423,10 @@ func (n *Network) RunContext(ctx context.Context) (*Result, error) {
 // compute the fresh weight, run the clustering decision, broadcast, and
 // schedule the next tick.
 //
-// The whole round walks the neighbor table in ascending-id order through a
-// single sorted scratch pass: timeouts are emitted canonically, the views
-// handed to the clustering step are id-ordered, and the surviving id list
-// feeds the oracle-mobility fold. Nothing here depends on Go's randomized
-// map iteration, so repeated runs are bit-identical.
+// The neighbor table is kept in ascending-id order, so the whole round walks
+// it canonically: timeouts are emitted in id order, the views handed to the
+// clustering step are id-ordered, and the M and oracle-mobility folds sum in
+// id order. Repeated runs are bit-identical by construction.
 func (n *Network) tick(rn *runtimeNode, now float64) {
 	if n.down[rn.id] {
 		return // crashed: the beacon chain stops until recovery
@@ -465,45 +445,30 @@ func (n *Network) tick(rn *runtimeNode, now float64) {
 		}
 	}
 	// Purge neighbors that missed their beacons (Table 1: TP).
-	tp := n.cfg.TimeoutPeriod
-	rn.tracker.Expire(now, tp)
-	ids := n.idBuf[:0]
-	for id := range rn.table {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	live := ids[:0] // compact survivors into the same backing array
-	for _, id := range ids {
-		e := rn.table[id]
-		if e.lastHeard < now-tp {
-			delete(rn.table, id)
-			n.releaseEntry(e)
-			n.obsRec.Add(obs.NetNeighborTimeouts, 1)
-			n.emit(trace.Event{
-				T: now, Kind: trace.KindTimeout, Node: rn.id, Other: id,
-			})
-			continue
-		}
-		live = append(live, id)
-	}
-	n.idBuf = ids
+	rn.table.Purge(now, n.cfg.TimeoutPeriod, func(id int32) {
+		n.obsRec.Add(obs.NetNeighborTimeouts, 1)
+		n.emit(trace.Event{
+			T: now, Kind: trace.KindTimeout, Node: rn.id, Other: id,
+		})
+	})
 
-	n.lastM[rn.id] = rn.tracker.Aggregate()
+	n.lastM[rn.id] = rn.table.Aggregate()
 	wasHead := rn.cnode.Role() == cluster.RoleHead
-	weight := n.weightOf(rn, live)
+	weight := n.weightOf(rn)
 
 	// The first tick is listen-only: the node has had no chance to hear
 	// anyone, and electing heads blind would register a storm of spurious
 	// clusterhead changes for every algorithm alike.
 	if n.tickCount[rn.id] > 0 {
 		views := n.viewBuf[:0]
-		for _, id := range live {
-			e := rn.table[id]
+		entries := rn.table.Entries()
+		for i, id := range rn.table.IDs() {
+			adv := &entries[i].Payload
 			views = append(views, cluster.NeighborView{
 				ID:     id,
-				Weight: e.weight,
-				Role:   e.role,
-				Head:   e.head,
+				Weight: adv.weight,
+				Role:   adv.role,
+				Head:   adv.head,
 			})
 		}
 		n.viewBuf = views
@@ -555,7 +520,7 @@ func (n *Network) tick(rn *runtimeNode, now float64) {
 	}
 	if resigned {
 		rn.cnode.Resign(now)
-		rn.cnode.SetWeight(n.weightOf(rn, live))
+		rn.cnode.SetWeight(n.weightOf(rn))
 	}
 
 	n.broadcast(rn, now)
@@ -578,9 +543,8 @@ func (n *Network) tick(rn *runtimeNode, now float64) {
 }
 
 // weightOf computes the node's current election weight per the algorithm's
-// weight kind. neighborIDs is the node's current neighbor-id list in
-// ascending order (tick's post-purge survivors).
-func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight {
+// weight kind.
+func (n *Network) weightOf(rn *runtimeNode) cluster.Weight {
 	var w cluster.Weight
 	switch n.cfg.Algorithm.WeightKind {
 	case cluster.KindID:
@@ -588,7 +552,7 @@ func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight 
 	case cluster.KindMobility:
 		value := n.lastM[rn.id]
 		if c := n.cfg.CombinedDegreeWeight; c > 0 {
-			dev := len(rn.table) - n.cfg.IdealDegree
+			dev := rn.table.NeighborCount() - n.cfg.IdealDegree
 			if dev < 0 {
 				dev = -dev
 			}
@@ -596,11 +560,11 @@ func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight 
 		}
 		w = cluster.Weight{Value: value, ID: rn.id}
 	case cluster.KindDegree:
-		w = cluster.Weight{Value: -float64(len(rn.table)), ID: rn.id}
+		w = cluster.Weight{Value: -float64(rn.table.NeighborCount()), ID: rn.id}
 	case cluster.KindCustom:
 		w = cluster.Weight{Value: n.customW[rn.id], ID: rn.id}
 	case cluster.KindOracleMobility:
-		w = cluster.Weight{Value: n.oracleMobility(rn, neighborIDs), ID: rn.id}
+		w = cluster.Weight{Value: n.oracleMobility(rn), ID: rn.id}
 	case cluster.KindAdaptiveID:
 		// Adaptive ID reassignment: every completed ReassignRounds of
 		// uninterrupted head service pushes the effective ID behind all N
@@ -629,11 +593,8 @@ func (n *Network) weightOf(rn *runtimeNode, neighborIDs []int32) cluster.Weight 
 // mobility: the variance about zero of the ground-truth range rate (m/s)
 // toward every neighbor currently in the hello table. It measures exactly
 // what the RxPr-ratio metric estimates, but from the trajectories directly.
-//
-// neighborIDs must be in ascending order: floating-point addition is not
-// associative, so folding sumSq in map order would make the low bits of the
-// weight — and with them election outcomes — vary run to run.
-func (n *Network) oracleMobility(rn *runtimeNode, neighborIDs []int32) float64 {
+// The fold runs in the table's ascending-id order.
+func (n *Network) oracleMobility(rn *runtimeNode) float64 {
 	const dt = 0.5 // range-rate differencing window in seconds
 	now := n.sched.Now()
 	t0 := now - dt
@@ -645,18 +606,19 @@ func (n *Network) oracleMobility(rn *runtimeNode, neighborIDs []int32) float64 {
 	}
 	selfNow := rn.traj.At(now)
 	selfThen := rn.traj.At(t0)
+	ids := rn.table.IDs()
 	var sumSq float64
-	for _, id := range neighborIDs {
+	for _, id := range ids {
 		other := n.nodes[id]
 		dNow := selfNow.Dist(other.traj.At(now))
 		dThen := selfThen.Dist(other.traj.At(t0))
 		rate := (dNow - dThen) / (now - t0)
 		sumSq += rate * rate
 	}
-	if len(neighborIDs) == 0 {
+	if len(ids) == 0 {
 		return 0
 	}
-	return sumSq / float64(len(neighborIDs))
+	return sumSq / float64(len(ids))
 }
 
 // helloBytes is the payload size of one hello beacon. The base carries the
@@ -725,6 +687,18 @@ type advertisement struct {
 	head   int32
 }
 
+// headsHeard counts the clusterheads in rn's neighbor table.
+func (rn *runtimeNode) headsHeard() int {
+	entries := rn.table.Entries()
+	heads := 0
+	for i := range entries {
+		if entries[i].Payload.role == cluster.RoleHead {
+			heads++
+		}
+	}
+	return heads
+}
+
 // tryDeliver computes the exact received power at rx and delivers the hello
 // if it clears the threshold, survives the loss model, and (when the MAC
 // collision model is on) does not overlap another reception.
@@ -773,23 +747,6 @@ func (n *Network) releaseReception(rec *reception) {
 	rec.rx = nil
 	rec.collided = false
 	n.rxFree = append(n.rxFree, rec)
-}
-
-// newEntry draws a neighbor-table entry from the pool.
-func (n *Network) newEntry() *neighborEntry {
-	if k := len(n.entryFree); k > 0 {
-		e := n.entryFree[k-1]
-		n.entryFree[k-1] = nil
-		n.entryFree = n.entryFree[:k-1]
-		return e
-	}
-	return &neighborEntry{}
-}
-
-// releaseEntry returns a purged neighbor-table entry to the pool.
-func (n *Network) releaseEntry(e *neighborEntry) {
-	*e = neighborEntry{}
-	n.entryFree = append(n.entryFree, e)
 }
 
 // deferDelivery models the beacon's airtime: the packet is handed up only
@@ -854,20 +811,14 @@ func (n *Network) applyHello(txID int32, rx *runtimeNode, now, pr float64, adv a
 	n.emit(trace.Event{
 		T: now, Kind: trace.KindDeliver, Node: txID, Other: rx.id, Value: pr,
 	})
-	if err := rx.tracker.Observe(txID, now, pr); err != nil {
+	added, err := rx.table.Hear(txID, now, pr, adv)
+	if err != nil {
 		// RxPower of a validated model is always positive; skip defensively.
 		return
 	}
-	e, ok := rx.table[txID]
-	if !ok {
-		e = n.newEntry()
-		rx.table[txID] = e
+	if added {
 		n.obsRec.Add(obs.NetNeighborAdds, 1)
 	}
-	e.lastHeard = now
-	e.weight = adv.weight
-	e.role = adv.role
-	e.head = adv.head
 }
 
 // sampleClusters periodically counts heads, gateways and cluster sizes for
@@ -905,13 +856,7 @@ func (n *Network) sampleClusters(now float64) {
 				// the NoHead map bucket used to.
 				noHead++
 			}
-			audible := 0
-			for _, e := range rn.table {
-				if e.role == cluster.RoleHead {
-					audible++
-				}
-			}
-			if audible >= 2 {
+			if rn.headsHeard() >= 2 {
 				gateways++
 			}
 		}

@@ -48,6 +48,7 @@ go test -run='^$' -fuzz='^FuzzTenantConfig$' -fuzztime=5s ./internal/fair
 go test -run='^$' -fuzz='^FuzzBatchBody$' -fuzztime=5s ./internal/service
 go test -run='^$' -fuzz='^FuzzEnergyConfig$' -fuzztime=5s ./internal/energy
 go test -run='^$' -fuzz='^FuzzAdaptiveBI$' -fuzztime=5s ./internal/simnet
+go test -run='^$' -fuzz='^FuzzNeighborTable$' -fuzztime=5s ./internal/core
 
 echo "== golden digest inventory (base grid + policy runs, 2 seeds each)"
 digests="$(grep -c '"sha256"' internal/harness/testdata/digests.json)"
