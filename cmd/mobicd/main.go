@@ -20,9 +20,10 @@
 // With -coordinator the daemon runs no simulations itself: it places each
 // job on one of the -peers workers by consistent-hashing its spec digest,
 // proxies the /v1/jobs API transparently, health-checks the peers, and when
-// a worker dies re-dispatches its interrupted jobs to the ring successor —
-// shipping the checkpoint prefix observed so far so sweeps resume instead
-// of restarting (see DESIGN.md S28).
+// a worker dies re-dispatches its interrupted jobs to the ring successor.
+// Each worker streams a job's checkpoints to that successor as it journals
+// them, so a failed-over sweep resumes from the replica instead of
+// restarting (see DESIGN.md S28 and S30).
 //
 // With -tenants the API is multi-tenant: a JSON config file assigns each
 // tenant (identified by an Authorization API key or an explicit
@@ -142,9 +143,8 @@ func run(args []string, logw io.Writer) error {
 		cacheDisk  = fs.Int64("cache-disk-mb", 256, "on-disk result-cache budget in MiB (with -data-dir)")
 		coordMode  = fs.Bool("coordinator", false, "run as a cluster coordinator instead of a worker (requires -peers)")
 		peerList   = fs.String("peers", "", "comma-separated worker base URLs for -coordinator mode")
-		replicate  = fs.Bool("replicate", false, "stream job checkpoints to the ring successor for fast failover (both modes)")
 		failAfter  = fs.Int("fail-after", 2, "consecutive failed health probes before a peer is marked down (-coordinator)")
-		pollEvery  = fs.Duration("poll-every", time.Second, "tracked-job status/checkpoint poll period (-coordinator)")
+		pollEvery  = fs.Duration("poll-every", time.Second, "tracked-job status poll period (-coordinator)")
 		brkThresh  = fs.Int("breaker-threshold", 5, "consecutive transport failures that open a peer's circuit breaker (-coordinator)")
 		brkCool    = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker waits before a half-open probe (-coordinator)")
 		tenantsCfg = fs.String("tenants", "", "JSON tenant config file: per-tenant weights, quotas and rate limits (empty = single default tenant)")
@@ -225,7 +225,6 @@ func run(args []string, logw io.Writer) error {
 			FailAfter:        *failAfter,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
-			Replicate:        *replicate,
 			Local:            local,
 			Cache:            results,
 			Obs:              registry,
@@ -235,7 +234,7 @@ func run(args []string, logw io.Writer) error {
 			return err
 		}
 		coord.Start()
-		logger.Info("coordinator mode", "peers", len(peers), "replicate", *replicate)
+		logger.Info("coordinator mode", "peers", len(peers))
 		handler = dispatch.NewHandler(coord)
 		drain = func() {
 			drainCtx, cancel := context.WithTimeout(context.Background(), *drainGrace)
@@ -260,7 +259,6 @@ func run(args []string, logw io.Writer) error {
 			DataDir:       *dataDir,
 			Retry:         service.RetryPolicy{MaxAttempts: *maxTries},
 			CompactBytes:  *compactAt,
-			Replicate:     *replicate,
 			Obs:           registry,
 			Cache:         results,
 			Tenants:       tenants,

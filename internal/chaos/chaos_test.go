@@ -88,7 +88,7 @@ func TestMatchGlob(t *testing.T) {
 		{"*", "anything/at/all", true},
 		{"*/v1/jobs/*", "127.0.0.1:9001/v1/jobs/abc", true},
 		{"*/v1/jobs/*", "127.0.0.1:9001/v1/jobs", false},
-		{"*/checkpoints", "h/v1/jobs/j1/checkpoints", true},
+		{"*/restore", "h/v1/jobs/j1/restore", true},
 		{"journal", "journal", true},
 		{"journal", "cache", false},
 		{"a*b*c", "axxbyyc", true},

@@ -13,9 +13,9 @@ import (
 )
 
 // TestChaosSoak is the sustained-fault gate run by scripts/check.sh under
-// the race detector: a replicated three-worker cluster takes ~10 seconds
-// of submissions while a probabilistic chaos schedule resets submits,
-// degrades checkpoint polls, cuts streams and injects latency — and a
+// the race detector: a three-worker cluster takes ~10 seconds of
+// submissions while a probabilistic chaos schedule resets submits, fails
+// failover restores, cuts streams and injects latency — and a
 // worker is killed outright mid-soak. Every job must still converge to
 // success, and the long-running job that straddles the kill must finish
 // byte-equal to an uninterrupted reference run.
@@ -25,21 +25,13 @@ func TestChaosSoak(t *testing.T) {
 	}
 	refJSON, _ := referenceRun(t)
 
-	replicated := func(cfg *service.Config) {
-		cfg.Replicate = true
-		cfg.ReplicaFlushEvery = 10 * time.Millisecond
-	}
-	workers := []*worker{
-		newWorkerCfg(t, replicated),
-		newWorkerCfg(t, replicated),
-		newWorkerCfg(t, replicated),
-	}
+	workers := []*worker{newWorker(t), newWorker(t), newWorker(t)}
 
 	// Probabilistic but seeded: the same soak replays the same fault
 	// sequence against the same operation order.
 	inj := chaos.New(chaos.MustParse("seed 1234\n" +
 		"http POST */jobs prob=0.1 reset\n" +
-		"http GET */checkpoints prob=0.25 error\n" +
+		"http POST */restore prob=0.25 error\n" +
 		"body GET */stream prob=0.5 cut=256\n" +
 		"http GET * prob=0.05 latency=10ms\n"))
 
@@ -53,7 +45,6 @@ func TestChaosSoak(t *testing.T) {
 	defer local.Shutdown(context.Background())
 
 	coord, srv, _ := newClusterCfg(t, workers, func(cfg *Config) {
-		cfg.Replicate = true
 		cfg.Client = &http.Client{Timeout: 2 * time.Second, Transport: inj.RoundTripper(nil)}
 		cfg.Local = local
 		cfg.BreakerCooldown = 200 * time.Millisecond

@@ -35,8 +35,9 @@ type Config struct {
 	Client *http.Client
 	// HealthEvery is the /readyz probe period (default 2 s).
 	HealthEvery time.Duration
-	// PollEvery is the tracked-job status/checkpoint poll period
-	// (default 1 s).
+	// PollEvery is the tracked-job status poll period (default 1 s). The
+	// poll only catches completion: checkpoint progress reaches a
+	// failover successor through worker-to-worker replication.
 	PollEvery time.Duration
 	// FailAfter is the number of consecutive failed health probes that
 	// mark a peer down and trigger failover (default 2). One blip on a
@@ -57,11 +58,6 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker refuses calls before
 	// admitting a single half-open probe (default 5 s).
 	BreakerCooldown time.Duration
-	// Replicate, when true, assigns every placed job a checkpoint-replica
-	// target — the first healthy distinct ring successor of its owner —
-	// via the X-Mobic-Replica header on submits and failover restores.
-	// Workers must run with replication enabled for the header to bite.
-	Replicate bool
 	// Local, when non-nil, is an embedded fallback service: a submission
 	// arriving while no worker is reachable runs locally (its status is
 	// flagged "degraded") instead of being bounced with a 503.
@@ -76,8 +72,8 @@ type Config struct {
 	// finished outputs are published into it and identical resubmissions
 	// are answered without touching any worker.
 	Cache *cache.Cache
-	// Obs receives dispatch telemetry (forwards, failovers, shipped
-	// checkpoints, healthy-peer gauge). Defaults to obs.Nop.
+	// Obs receives dispatch telemetry (forwards, failovers, healthy-peer
+	// gauge). Defaults to obs.Nop.
 	Obs obs.Recorder
 	// Logger receives operational events (peer transitions, failovers).
 	// Defaults to a discard logger.
@@ -146,9 +142,6 @@ type remoteJob struct {
 	tenant string
 	// peer is the worker currently responsible for the job.
 	peer string
-	// cps is the last checkpoint prefix observed by the poll loop — what
-	// failover ships. Always version-stamped (possibly empty).
-	cps experiment.CheckpointSet
 	// synthetic marks a job the coordinator answered from its own cache;
 	// no worker has ever heard of its ID.
 	synthetic bool
@@ -267,15 +260,6 @@ func (c *Coordinator) TrackedJobs() int {
 	return len(c.jobs)
 }
 
-// shippedCheckpoints reports the total checkpoint records shipped across
-// all failovers so far (test hook; /metrics carries the same counter).
-func (c *Coordinator) shippedCheckpoints() int64 {
-	if r, ok := c.cfg.Obs.(*obs.Registry); ok {
-		return r.Counter(obs.DispatchCheckpointsShipped)
-	}
-	return 0
-}
-
 func (c *Coordinator) isDown(peer string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -334,9 +318,9 @@ func (c *Coordinator) healthPass() {
 }
 
 // failoverStranded re-dispatches every non-terminal job whose peer is down
-// to the ring successor, shipping the last observed checkpoint prefix. It
-// runs every health pass, so a failover that could not land (successor
-// also down, transient error) is retried until it does.
+// to the ring successor. It runs every health pass, so a failover that
+// could not land (successor also down, transient error) is retried until
+// it does.
 func (c *Coordinator) failoverStranded() {
 	c.mu.Lock()
 	var stranded []*remoteJob
@@ -351,13 +335,14 @@ func (c *Coordinator) failoverStranded() {
 	}
 }
 
-// failover ships job's spec, key and checkpoint prefix to the first
-// healthy peer in ring-successor order and repoints the job there.
+// failover restores job's spec, key and tenant on the first healthy peer
+// in ring-successor order and repoints the job there. That peer is the
+// job's replica target, so the restore resumes from the checkpoints the
+// dead owner streamed to it.
 func (c *Coordinator) failover(j *remoteJob) {
 	start := c.cfg.Clock()
 	c.mu.Lock()
 	oldPeer := j.peer
-	cps := j.cps
 	c.mu.Unlock()
 
 	target := c.ring.Owner(j.digest, c.isDown)
@@ -365,11 +350,10 @@ func (c *Coordinator) failover(j *remoteJob) {
 		return
 	}
 	body, err := json.Marshal(struct {
-		Spec        service.JobSpec          `json:"spec"`
-		Key         string                   `json:"key,omitempty"`
-		Tenant      string                   `json:"tenant,omitempty"`
-		Checkpoints experiment.CheckpointSet `json:"checkpoints"`
-	}{j.spec, j.key, j.tenant, cps})
+		Spec   service.JobSpec `json:"spec"`
+		Key    string          `json:"key,omitempty"`
+		Tenant string          `json:"tenant,omitempty"`
+	}{j.spec, j.key, j.tenant})
 	if err != nil {
 		return
 	}
@@ -395,12 +379,10 @@ func (c *Coordinator) failover(j *remoteJob) {
 	c.mu.Unlock()
 	end := c.cfg.Clock()
 	c.cfg.Obs.Add(obs.DispatchFailovers, 1)
-	c.cfg.Obs.Add(obs.DispatchCheckpointsShipped, int64(len(cps.Cells)))
 	if c.cfg.Obs.Enabled() {
 		c.cfg.Obs.Span(obs.SpanFailover, start.UnixNano(), end.UnixNano())
 	}
-	c.cfg.Logger.Info("job failed over", "job", j.id, "from", oldPeer, "to", target,
-		"checkpoints", len(cps.Cells))
+	c.cfg.Logger.Info("job failed over", "job", j.id, "from", oldPeer, "to", target)
 }
 
 // pruneExpired drops terminal jobs past their TTL.
@@ -415,9 +397,8 @@ func (c *Coordinator) pruneExpired() {
 	}
 }
 
-// pollPass refreshes every tracked non-terminal job: status first (to
-// catch completion), then the checkpoint prefix (so a later failover ships
-// the freshest resume point).
+// pollPass refreshes the status of every tracked non-terminal job, to
+// catch completion.
 func (c *Coordinator) pollPass() {
 	c.mu.Lock()
 	var live []*remoteJob
@@ -463,20 +444,7 @@ func (c *Coordinator) pollJob(j *remoteJob) {
 	}
 	if st.State.Terminal() {
 		c.completeJob(j, &st)
-		return
 	}
-	if j.spec.Sweep == nil {
-		return // named experiments re-run whole; nothing to ship
-	}
-	var export service.CheckpointExport
-	if err := c.getJSON(c.ctx, peer, "/v1/jobs/"+j.id+"/checkpoints", &export); err != nil {
-		return
-	}
-	c.mu.Lock()
-	if len(export.Checkpoints.Cells) > len(j.cps.Cells) {
-		j.cps = export.Checkpoints
-	}
-	c.mu.Unlock()
 }
 
 // completeJob records a terminal status: publishes a successful output to
@@ -655,11 +623,8 @@ func (c *Coordinator) defaultSeeds() int {
 // replicaTarget picks a job's checkpoint-replica target: the first healthy
 // distinct peer after owner in ring-successor order — exactly the peer a
 // failover would land on, so the replica is already where the job goes
-// next. Empty when replication is off or the ring has no second peer up.
+// next. Empty when the ring has no second peer up.
 func (c *Coordinator) replicaTarget(digest, owner string) string {
-	if !c.cfg.Replicate {
-		return ""
-	}
 	for _, p := range c.ring.Owners(digest) {
 		if p != owner && !c.isDown(p) {
 			return p

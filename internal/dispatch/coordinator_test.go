@@ -82,25 +82,15 @@ type worker struct {
 }
 
 func newWorker(t *testing.T) *worker {
-	return newWorkerCfg(t, nil)
-}
-
-// newWorkerCfg builds a worker whose service config was run through mutate
-// (replication knobs, timers) before opening.
-func newWorkerCfg(t *testing.T, mutate func(*service.Config)) *worker {
 	t.Helper()
 	col := newDigestCollector()
 	reg := obs.NewRegistry()
-	cfg := service.Config{
+	svc, err := service.Open(service.Config{
 		DataDir: t.TempDir(),
 		Workers: 1,
 		Runner:  experiment.Runner{Seeds: 1, Workers: 1, Mutate: col.mutate},
 		Obs:     reg,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	svc, err := service.Open(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +117,7 @@ func newCluster(t *testing.T, workers []*worker) (*Coordinator, *httptest.Server
 }
 
 // newClusterCfg is newCluster with the coordinator config run through
-// mutate first (chaos transports, replication, breaker knobs).
+// mutate first (chaos transports, timers, breaker knobs).
 func newClusterCfg(t *testing.T, workers []*worker, mutate func(*Config)) (*Coordinator, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	peers := make([]string, len(workers))
@@ -210,9 +200,10 @@ func awaitTerminal(t *testing.T, url, id string, within time.Duration) service.S
 
 // TestFailoverResumesAndCaches is the subsystem acceptance test: a
 // coordinator over two workers places a sweep, the owning worker is killed
-// after at least one checkpoint has been observed, the job fails over to
-// the surviving worker with the checkpoint prefix shipped, and the final
-// output is digest-identical to an uninterrupted reference run. A
+// after at least one checkpoint has reached the other worker's replica
+// store, the job fails over to that worker and resumes from the replica,
+// and the final output is digest-identical to an uninterrupted reference
+// run. A
 // resubmission of the same spec is then answered from the coordinator's
 // result cache without touching any worker.
 func TestFailoverResumesAndCaches(t *testing.T) {
@@ -258,35 +249,15 @@ func TestFailoverResumesAndCaches(t *testing.T) {
 		t.Fatal("no job ID from coordinator")
 	}
 
-	// Wait until the coordinator has observed at least one checkpoint from
-	// the owning worker — the prefix a failover would ship.
-	var owner string
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		coord.mu.Lock()
-		j := coord.jobs[st.ID]
-		var observed int
-		if j != nil {
-			observed, owner = len(j.cps.Cells), j.peer
-		}
-		terminal := j != nil && j.terminal
-		coord.mu.Unlock()
-		if j == nil {
-			t.Fatal("submitted job not tracked")
-		}
-		if terminal {
-			t.Fatal("sweep finished before a checkpoint was observed; make failoverSweep slower")
-		}
-		if observed >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint observed in 30s")
-		}
-		time.Sleep(10 * time.Millisecond)
+	coord.mu.Lock()
+	j := coord.jobs[st.ID]
+	coord.mu.Unlock()
+	if j == nil {
+		t.Fatal("submitted job not tracked")
 	}
-
-	// Kill the owner; keep the survivor.
+	coord.mu.Lock()
+	owner := j.peer
+	coord.mu.Unlock()
 	var victim, survivor *worker
 	for _, w := range workers {
 		if w.srv.URL == owner {
@@ -298,6 +269,38 @@ func TestFailoverResumesAndCaches(t *testing.T) {
 	if victim == nil || survivor == nil {
 		t.Fatalf("owner %q is not one of the workers", owner)
 	}
+
+	// Wait until the survivor's replica of the job holds at least one
+	// cell — the prefix a failover resumes from.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var view service.ReplicaView
+		resp, err := http.Get(survivor.srv.URL + "/v1/replica/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp.Body.Close()
+		if len(view.Cells) >= 1 {
+			break
+		}
+		coord.mu.Lock()
+		terminal := j.terminal
+		coord.mu.Unlock()
+		if terminal {
+			t.Fatal("sweep finished before a checkpoint was replicated; make failoverSweep slower")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint replicated in 30s")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Kill the owner; keep the survivor.
 	victim.kill()
 
 	// The job must finish — failed over, resumed, digest-identical.
@@ -315,8 +318,8 @@ func TestFailoverResumesAndCaches(t *testing.T) {
 	if got := reg.Counter(obs.DispatchFailovers); got != 1 {
 		t.Errorf("failovers = %d, want 1", got)
 	}
-	if got := coord.shippedCheckpoints(); got < 1 {
-		t.Errorf("checkpoints shipped = %d, want >= 1", got)
+	if got := survivor.reg.Counter(obs.ReplRestores); got != 1 {
+		t.Errorf("survivor ReplRestores = %d, want 1", got)
 	}
 
 	// The survivor resumed: it simulated only unfinished cells, and those

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"mobic/internal/experiment"
 	"mobic/internal/obs"
 	"mobic/internal/service"
 )
@@ -222,7 +221,6 @@ func (p *proxy) submitLocal(w http.ResponseWriter, r *http.Request, spec service
 		p.c.track(&remoteJob{
 			id: job.ID(), digest: digest, key: key, spec: spec,
 			local: true, created: p.c.cfg.Clock(),
-			cps: experiment.ExportCheckpoints(nil),
 		})
 		p.c.cfg.Obs.Add(obs.DispatchDegraded, 1)
 		p.c.cfg.Logger.Warn("no healthy worker; running job locally", "job", job.ID())
@@ -321,7 +319,6 @@ func (p *proxy) relayBatch(w http.ResponseWriter, resp *http.Response, specs []s
 			p.c.track(&remoteJob{
 				id: st.ID, digest: specs[i].Digest(), spec: specs[i],
 				tenant: st.Tenant, peer: peer, created: now,
-				cps: experiment.ExportCheckpoints(nil),
 			})
 		}
 		p.c.cfg.Obs.Add(obs.DispatchForwarded, int64(len(br.Jobs)))
@@ -367,7 +364,6 @@ func (p *proxy) batchLocal(w http.ResponseWriter, r *http.Request, specs []servi
 		p.c.track(&remoteJob{
 			id: job.ID(), digest: specs[i].Digest(), spec: specs[i],
 			tenant: tenant, local: true, created: now,
-			cps: experiment.ExportCheckpoints(nil),
 		})
 		statuses[i], _, _ = job.Snapshot()
 		statuses[i].Degraded = true
@@ -393,7 +389,6 @@ func (p *proxy) relaySubmit(w http.ResponseWriter, resp *http.Response, spec ser
 		j := &remoteJob{
 			id: st.ID, digest: digest, key: key, spec: spec,
 			tenant: st.Tenant, peer: peer, created: p.c.cfg.Clock(),
-			cps: experiment.ExportCheckpoints(nil),
 		}
 		if st.State.Terminal() {
 			// The worker answered from its own cache: terminal on arrival.
@@ -580,7 +575,7 @@ func (p *proxy) stream(w http.ResponseWriter, r *http.Request) {
 //
 // The skip is sound because a reconnect to the same worker replays a
 // strict superset of the previous attempt's prefix. A failed-over
-// successor resumes from the last shipped checkpoint, so its log can be
+// successor resumes from the last replicated checkpoint, so its log can be
 // shorter than what was already delivered; then the attempt delivers
 // nothing (even a replayed "result" line is consumed by the skip) and the
 // loop falls back to the poll path, which serves the terminal status from

@@ -74,9 +74,6 @@ const (
 	// DispatchFailovers counts interrupted jobs re-dispatched to a
 	// successor peer after a worker failure.
 	DispatchFailovers
-	// DispatchCheckpointsShipped counts checkpoint records the coordinator
-	// pulled from workers for failover (the WAL-shipping volume).
-	DispatchCheckpointsShipped
 	// DispatchPeersHealthy gauges the number of peers passing /readyz.
 	DispatchPeersHealthy
 
@@ -95,8 +92,8 @@ const (
 	ReplFailures
 	// ReplApplied counts checkpoint records a replica accepted and stored.
 	ReplApplied
-	// ReplRestores counts restores that recovered checkpoints from the
-	// local replica store instead of (or beyond) the shipped prefix.
+	// ReplRestores counts restores that resumed from a checkpoint prefix
+	// held in the local replica store instead of from cell 0.
 	ReplRestores
 
 	// DispatchRetries counts coordinator→peer call attempts beyond the
@@ -165,10 +162,9 @@ var defs = [NumMetrics]Def{
 	CacheMisses:    {"mobic_cache_misses_total", "Result-cache lookups that fell through to a real run.", Counter},
 	CacheEvictions: {"mobic_cache_evictions_total", "Cached results dropped by the entry or byte bounds.", Counter},
 
-	DispatchForwarded:          {"mobic_dispatch_forwarded_total", "Jobs the coordinator placed on a worker peer.", Counter},
-	DispatchFailovers:          {"mobic_dispatch_failovers_total", "Interrupted jobs re-dispatched to a successor peer.", Counter},
-	DispatchCheckpointsShipped: {"mobic_dispatch_checkpoints_shipped_total", "Checkpoint records pulled from workers for failover.", Counter},
-	DispatchPeersHealthy:       {"mobic_dispatch_peers_healthy", "Worker peers currently passing their readiness probe.", Gauge},
+	DispatchForwarded:    {"mobic_dispatch_forwarded_total", "Jobs the coordinator placed on a worker peer.", Counter},
+	DispatchFailovers:    {"mobic_dispatch_failovers_total", "Interrupted jobs re-dispatched to a successor peer.", Counter},
+	DispatchPeersHealthy: {"mobic_dispatch_peers_healthy", "Worker peers currently passing their readiness probe.", Gauge},
 
 	CacheCorrupt: {"mobic_cache_corrupt_total", "Disk-cache entries that failed CRC/framing and were quarantined.", Counter},
 
@@ -176,7 +172,7 @@ var defs = [NumMetrics]Def{
 	ReplRecords:  {"mobic_repl_records_total", "Checkpoint records acknowledged by a replica.", Counter},
 	ReplFailures: {"mobic_repl_failures_total", "Replication batch sends that failed and await retry.", Counter},
 	ReplApplied:  {"mobic_repl_applied_total", "Checkpoint records accepted into the local replica store.", Counter},
-	ReplRestores: {"mobic_repl_restores_total", "Restores recovered from the local replica store beyond the shipped prefix.", Counter},
+	ReplRestores: {"mobic_repl_restores_total", "Restores that resumed from the local replica store instead of cell 0.", Counter},
 
 	DispatchRetries:              {"mobic_dispatch_retries_total", "Coordinator-to-peer call attempts beyond the first.", Counter},
 	DispatchBreakerOpens:         {"mobic_dispatch_breaker_opens_total", "Per-peer circuit-breaker trips into the open state.", Counter},

@@ -23,20 +23,22 @@ import (
 //	                            for the whole batch)
 //	GET    /v1/jobs/{id}        job status (+ result once finished)
 //	GET    /v1/jobs/{id}/stream NDJSON status stream until terminal
-//	GET    /v1/jobs/{id}/checkpoints
-//	                            portable checkpoint export: the job's spec,
-//	                            key and completed-cell prefix, the payload
-//	                            the coordinator ships on failover
 //	POST   /v1/jobs/{id}/restore
-//	                            re-create a job under the given ID seeded
-//	                            with a shipped checkpoint prefix; it resumes
-//	                            at the first incomplete cell
+//	                            re-create a job under the given ID; it
+//	                            resumes after the checkpoint prefix held in
+//	                            the local replica store, else from cell 0
 //	DELETE /v1/jobs/{id}        request cancellation
+//	POST   /v1/replica/{id}     one replication batch from the job's owner
+//	GET    /v1/replica/{id}     the replica held for a job
 //	GET    /livez               liveness: 200 while the process serves
 //	GET    /readyz              readiness: 503 while draining or when the
 //	                            journal cannot persist records
 //	GET    /healthz             alias for /readyz (readiness + queue gauges)
 //	GET    /metrics             Prometheus text metrics
+//
+// Submit, batch submit and restore accept an X-Mobic-Replica header naming
+// the peer the job's checkpoints are streamed to; a value that is not an
+// absolute http(s) URL with a host is a 400.
 //
 // Tenant identity comes from the X-Mobic-Tenant header (explicit name,
 // wins) or the Authorization header (API key, optionally "Bearer "-
@@ -50,7 +52,6 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /v1/jobs:batch", a.submitBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}", a.status)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", a.stream)
-	mux.HandleFunc("GET /v1/jobs/{id}/checkpoints", a.checkpoints)
 	mux.HandleFunc("POST /v1/jobs/{id}/restore", a.restore)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", a.cancel)
 	mux.HandleFunc("POST /v1/replica/{id}", a.replicaPut)
@@ -232,60 +233,25 @@ func (a *api) cancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// CheckpointExport is the wire form of GET /v1/jobs/{id}/checkpoints:
-// everything a coordinator needs to re-create the job on another worker.
-type CheckpointExport struct {
-	ID          string                   `json:"id"`
-	Spec        JobSpec                  `json:"spec"`
-	Key         string                   `json:"key,omitempty"`
-	State       State                    `json:"state"`
-	Attempt     int                      `json:"attempt,omitempty"`
-	Checkpoints experiment.CheckpointSet `json:"checkpoints"`
-}
-
-// checkpoints handles GET /v1/jobs/{id}/checkpoints: the portable export
-// of the job's journaled completed-cell prefix.
-func (a *api) checkpoints(w http.ResponseWriter, r *http.Request) {
-	job, ok := a.job(w, r)
-	if !ok {
-		return
-	}
-	st, _, _ := job.Snapshot()
-	writeJSON(w, http.StatusOK, CheckpointExport{
-		ID:          job.ID(),
-		Spec:        job.Spec(),
-		Key:         job.IdempotencyKey(),
-		State:       st.State,
-		Attempt:     st.Attempt,
-		Checkpoints: experiment.ExportCheckpoints(job.checkpointed()),
-	})
-}
-
-// restoreRequest is the body of POST /v1/jobs/{id}/restore — a
-// CheckpointExport minus the redundant ID (the path carries it).
+// restoreRequest is the body of POST /v1/jobs/{id}/restore; the path
+// carries the job ID.
 type restoreRequest struct {
-	Spec        JobSpec                  `json:"spec"`
-	Key         string                   `json:"key,omitempty"`
-	Tenant      string                   `json:"tenant,omitempty"`
-	Checkpoints experiment.CheckpointSet `json:"checkpoints"`
+	Spec   JobSpec `json:"spec"`
+	Key    string  `json:"key,omitempty"`
+	Tenant string  `json:"tenant,omitempty"`
 }
 
 // restore handles POST /v1/jobs/{id}/restore: the failover entry point. A
-// job is created under the caller-chosen ID, pre-seeded with the shipped
-// contiguous checkpoint prefix, and enqueued; it resumes at the first
-// incomplete cell. Replaying the same restore is idempotent (200 with the
-// existing job). Backpressure matches submit: 429 + Retry-After.
+// job is created under the caller-chosen ID and enqueued; it resumes after
+// the checkpoint prefix its previous owner replicated here (see
+// Service.RestoreWith). Replaying the same restore is idempotent (200 with
+// the existing job). Backpressure matches submit: 429 + Retry-After.
 func (a *api) restore(w http.ResponseWriter, r *http.Request) {
 	var req restoreRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding restore request: %v", err)
-		return
-	}
-	cps, err := req.Checkpoints.Resume()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tenant := req.Tenant
@@ -296,7 +262,7 @@ func (a *api) restore(w http.ResponseWriter, r *http.Request) {
 		Key:     req.Key,
 		Replica: r.Header.Get("X-Mobic-Replica"),
 		Tenant:  tenant,
-	}, cps)
+	})
 	switch {
 	case errors.Is(err, ErrInvalidSpec):
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -336,9 +302,18 @@ func (a *api) replicaPut(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"records": n})
 }
 
-// replicaGet handles GET /v1/replica/{id}: the replica's current view in
-// CheckpointExport shape — what a failover restore would resume from. Used
-// by tests and operators to observe replication lag.
+// ReplicaView is the wire form of GET /v1/replica/{id}.
+type ReplicaView struct {
+	ID   string  `json:"id"`
+	Spec JobSpec `json:"spec"`
+	Key  string  `json:"key,omitempty"`
+	// Cells is the replicated contiguous completed-cell prefix.
+	Cells []experiment.CellStats `json:"cells"`
+}
+
+// replicaGet handles GET /v1/replica/{id}: the replica's current view —
+// what a failover restore would resume from. Used by tests and operators
+// to observe replication lag.
 func (a *api) replicaGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	spec, key, cps, ok := a.svc.Replicas().Lookup(id)
@@ -346,12 +321,7 @@ func (a *api) replicaGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no replica for job %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointExport{
-		ID:          id,
-		Spec:        spec,
-		Key:         key,
-		Checkpoints: experiment.ExportCheckpoints(cps),
-	})
+	writeJSON(w, http.StatusOK, ReplicaView{ID: id, Spec: spec, Key: key, Cells: cps})
 }
 
 // stream handles GET /v1/jobs/{id}/stream: one NDJSON StreamEvent line

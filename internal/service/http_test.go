@@ -99,18 +99,39 @@ func TestHTTPSubmitAndFetchResult(t *testing.T) {
 func TestHTTPSubmitErrors(t *testing.T) {
 	_, srv := newTestAPI(t, Config{Execute: instantExecute(1)})
 
+	const restore = `{"spec":{"experiment":"fig3"}}`
 	cases := []struct {
-		name string
-		body string
-		want int
+		name    string
+		path    string
+		body    string
+		replica string // X-Mobic-Replica header ("" = unset)
+		want    int
 	}{
-		{"malformed json", `{"experiment":`, http.StatusBadRequest},
-		{"unknown field", `{"experiment":"fig3","bogus":1}`, http.StatusBadRequest},
-		{"invalid spec", `{}`, http.StatusBadRequest},
-		{"unknown experiment", `{"experiment":"fig99"}`, http.StatusBadRequest},
+		{"malformed json", "/v1/jobs", `{"experiment":`, "", http.StatusBadRequest},
+		{"unknown field", "/v1/jobs", `{"experiment":"fig3","bogus":1}`, "", http.StatusBadRequest},
+		{"invalid spec", "/v1/jobs", `{}`, "", http.StatusBadRequest},
+		{"unknown experiment", "/v1/jobs", `{"experiment":"fig99"}`, "", http.StatusBadRequest},
+		{"replica not a URL", "/v1/jobs", `{"experiment":"fig3"}`, "peer-b:8080", http.StatusBadRequest},
+		{"replica relative", "/v1/jobs", `{"experiment":"fig3"}`, "/v1/replica", http.StatusBadRequest},
+		{"replica without host", "/v1/jobs", `{"experiment":"fig3"}`, "http://", http.StatusBadRequest},
+		{"replica bad scheme", "/v1/jobs", `{"experiment":"fig3"}`, "ftp://peer-b", http.StatusBadRequest},
+		{"batch replica bad scheme", "/v1/jobs:batch", `{"jobs":[{"experiment":"fig3"}]}`, "file:///tmp/x", http.StatusBadRequest},
+		{"restore replica without host", "/v1/jobs/abc123/restore", restore, "https:///x", http.StatusBadRequest},
+		{"restore replica not a URL", "/v1/jobs/abc123/restore", restore, "::", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		resp := postJob(t, srv, tc.body)
+		req, err := http.NewRequest(http.MethodPost, srv.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if tc.replica != "" {
+			req.Header.Set("X-Mobic-Replica", tc.replica)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var eb errorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -66,8 +66,7 @@ type Job struct {
 	digest       string
 	flightLeader bool
 	// replica is the base URL of the ring successor this job's checkpoint
-	// records stream to (Replicate mode; "" otherwise). Immutable after
-	// submit.
+	// records stream to ("" for none). Immutable after submit.
 	replica string
 	// tenant is the canonical tenant name the job was admitted under (""
 	// for the default tenant). It keys the fair-queue sub-queue and the
@@ -133,9 +132,6 @@ func (j *Job) ID() string { return j.id }
 
 // Spec returns the job's immutable submission spec.
 func (j *Job) Spec() JobSpec { return j.spec }
-
-// IdempotencyKey returns the key the job was submitted under ("" if none).
-func (j *Job) IdempotencyKey() string { return j.idemKey }
 
 // Tenant returns the canonical tenant name the job was admitted under (""
 // for the default tenant).

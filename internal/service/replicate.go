@@ -11,12 +11,12 @@ import (
 	"mobic/internal/obs"
 )
 
-// Proactive WAL replication. PR 6's failover ships checkpoints at failover
-// time — the coordinator's last observed prefix — which loses progress when
-// the worker and the coordinator's poller fail together. With replication
-// enabled, a worker streams each job's journal records (the submit record,
-// then every checkpoint) to its ring successor as they are fsync'd locally,
-// so the successor holds a warm replica before anything dies.
+// Proactive WAL replication is the only way checkpoint progress reaches a
+// failover successor. A worker streams each job's journal records (the
+// submit record, then every checkpoint) to the replica target named at
+// submit time — the coordinator picks the job's ring successor — as they
+// are fsync'd locally, so the successor holds a warm replica before
+// anything dies, and a restore there resumes from it.
 //
 // Wire format: POST /v1/replica/{id} with body
 //
@@ -37,13 +37,16 @@ var replMagic = []byte("MOBICREPL1\n")
 // maxReplicaBody bounds a replication batch on the receiving side.
 const maxReplicaBody = 16 << 20
 
+// replFlushEvery is the batching window: checkpoints landing within it
+// coalesce into one batch.
+const replFlushEvery = 25 * time.Millisecond
+
 // replicator streams journal records of replica-targeted jobs to their ring
 // successors. One flusher goroutine per job batches, sends and retries;
 // finish (at the job's terminal transition or service shutdown) makes a
 // final best-effort flush and drops the state.
 type replicator struct {
 	client *http.Client
-	every  time.Duration
 	rec    obs.Recorder
 
 	mu     sync.Mutex
@@ -66,16 +69,9 @@ type replJob struct {
 	stop sync.Once
 }
 
-func newReplicator(client *http.Client, every time.Duration, rec obs.Recorder) *replicator {
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
-	if every <= 0 {
-		every = 25 * time.Millisecond
-	}
+func newReplicator(rec obs.Recorder) *replicator {
 	return &replicator{
-		client: client,
-		every:  every,
+		client: &http.Client{Timeout: 2 * time.Second},
 		rec:    rec,
 		jobs:   make(map[string]*replJob),
 		drain:  make(chan struct{}, 1),
@@ -178,13 +174,13 @@ func (r *replicator) run(rj *replJob) {
 		default:
 		}
 	}()
-	retry := time.NewTicker(max(10*r.every, 250*time.Millisecond))
+	retry := time.NewTicker(10 * replFlushEvery)
 	defer retry.Stop()
 	for {
 		select {
 		case <-rj.kick:
 			// Coalescing window: a burst of checkpoints lands in one batch.
-			t := time.NewTimer(r.every)
+			t := time.NewTimer(replFlushEvery)
 			select {
 			case <-t.C:
 			case <-rj.done:

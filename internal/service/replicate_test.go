@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mobic/internal/experiment"
 	"mobic/internal/obs"
+	"mobic/internal/simnet"
 )
 
 // replSweep is a small two-cell sweep: enough checkpoints to replicate,
@@ -99,8 +101,9 @@ func TestReplicaStoreApply(t *testing.T) {
 
 // TestReplicationStreamsAndRestores is the service-level replication
 // round trip: worker A streams its checkpoints to worker B as it journals
-// them, and after A "dies" a restore on B with an empty shipped prefix
-// resumes from the replica — producing output byte-equal to A's.
+// them, and after A "dies" a restore on B resumes from the replica —
+// producing output byte-equal to A's. A restore on worker C, which holds
+// no replica, re-runs every cell and is byte-equal to A's output too.
 func TestReplicationStreamsAndRestores(t *testing.T) {
 	regB := obs.NewRegistry()
 	b := New(Config{Workers: 1, Runner: experiment.Runner{Seeds: 1, Workers: 1}, Obs: regB})
@@ -109,12 +112,7 @@ func TestReplicationStreamsAndRestores(t *testing.T) {
 	srvB := httptest.NewServer(NewHandler(b))
 	defer srvB.Close()
 
-	a := New(Config{
-		Workers:           1,
-		Runner:            experiment.Runner{Seeds: 1, Workers: 1},
-		Replicate:         true,
-		ReplicaFlushEvery: 5 * time.Millisecond,
-	})
+	a := New(Config{Workers: 1, Runner: experiment.Runner{Seeds: 1, Workers: 1}})
 	a.Start()
 	defer a.Shutdown(context.Background())
 
@@ -159,33 +157,48 @@ func TestReplicationStreamsAndRestores(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Failover shape: restore on B ships an empty prefix (the coordinator
-	// observed nothing), so the resume must come from the replica.
-	restored, existed, err := b.RestoreWith(job.ID(), replSweep(), SubmitOpts{Key: "run-1"}, nil)
+	// Failover shape: the restore on B resumes from the replica.
+	restored, existed, err := b.RestoreWith(job.ID(), replSweep(), SubmitOpts{Key: "run-1"})
 	if err != nil || existed {
 		t.Fatalf("RestoreWith = (existed=%v, %v)", existed, err)
 	}
-	var stB Status
-	for {
-		st, _, notify := restored.Snapshot()
-		if st.State.Terminal() {
-			stB = st
-			break
-		}
-		<-notify
-	}
-	if stB.State != StateSucceeded {
+	if stB := waitTerminal(t, restored); stB.State != StateSucceeded {
 		t.Fatalf("restored job on B: %s (%s)", stB.State, stB.Error)
-	}
-	outB, err := json.Marshal(stB.Output)
-	if err != nil {
+	} else if outB, err := json.Marshal(stB.Output); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(outA, outB) {
+	} else if !bytes.Equal(outA, outB) {
 		t.Errorf("replica-restored output differs:\nA: %s\nB: %s", outA, outB)
 	}
 	if got := regB.Counter(obs.ReplRestores); got != 1 {
 		t.Errorf("ReplRestores = %d, want 1", got)
+	}
+
+	// No replica held: the restore on C re-runs both cells from scratch.
+	var simulated atomic.Int64
+	regC := obs.NewRegistry()
+	c := New(Config{
+		Workers: 1,
+		Runner:  experiment.Runner{Seeds: 1, Workers: 1, Mutate: func(*simnet.Config) { simulated.Add(1) }},
+		Obs:     regC,
+	})
+	c.Start()
+	defer c.Shutdown(context.Background())
+	rerun, _, err := c.Restore(job.ID(), replSweep(), "run-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stC := waitTerminal(t, rerun); stC.State != StateSucceeded {
+		t.Fatalf("restored job on C: %s (%s)", stC.State, stC.Error)
+	} else if outC, err := json.Marshal(stC.Output); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(outA, outC) {
+		t.Errorf("re-run output differs:\nA: %s\nC: %s", outA, outC)
+	}
+	if got := simulated.Load(); got != 2 {
+		t.Errorf("C simulated %d cells, want 2 (full re-run without a replica)", got)
+	}
+	if got := regC.Counter(obs.ReplRestores); got != 0 {
+		t.Errorf("C ReplRestores = %d, want 0", got)
 	}
 }
 
@@ -223,13 +236,13 @@ func TestReplicaHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var export CheckpointExport
-	if err := json.NewDecoder(resp.Body).Decode(&export); err != nil {
+	var view ReplicaView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if export.ID != "abc123" || len(export.Checkpoints.Cells) != 1 {
-		t.Fatalf("replica GET = %+v", export)
+	if view.ID != "abc123" || view.Key != "k" || len(view.Cells) != 1 {
+		t.Fatalf("replica GET = %+v", view)
 	}
 
 	// Garbage batches are rejected, unknown replicas are 404.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mobic/internal/experiment"
 )
@@ -22,35 +23,70 @@ func sweepTwoCells() JobSpec {
 	}
 }
 
+// replicaImage renders a replication batch for job id: its submit record
+// plus a contiguous prefix of n checkpoints.
+func replicaImage(t *testing.T, id string, spec JobSpec, n int) []byte {
+	t.Helper()
+	recs := []record{{Type: recSubmit, Job: id, Spec: &spec}}
+	for i := range n {
+		recs = append(recs, record{Type: recCheckpoint, Job: id, Cell: i, Stats: &experiment.CellStats{CHChanges: float64(i + 1)}})
+	}
+	return replBatch(t, recs...)
+}
+
+// TestRestoreResumesFromPrefix pins where a restore starts: after the
+// replica's prefix when one is held for the job, from cell 0 when none is,
+// and from cell 0 when the replica fails its checks (a different spec, or
+// more checkpoints than the sweep has cells).
 func TestRestoreResumesFromPrefix(t *testing.T) {
-	var startCell atomic.Int64
-	capture := func(ctx context.Context, spec JobSpec, base experiment.Runner, progress func(done, total int)) (*Output, error) {
-		startCell.Store(int64(base.StartCell))
-		return &Output{}, nil
+	other := sweepTwoCells()
+	other.Sweep.TxRanges = []float64{100, 160}
+	cases := []struct {
+		name    string
+		replica []byte // nil = no replica held
+		want    int64
+	}{
+		{"replica prefix", replicaImage(t, "ffee00112233aabb", sweepTwoCells(), 1), 1},
+		{"no replica", nil, 0},
+		{"replica of another spec", replicaImage(t, "ffee00112233aabb", other, 1), 0},
+		{"replica beyond the cell count", replicaImage(t, "ffee00112233aabb", sweepTwoCells(), 3), 0},
 	}
-	svc := New(Config{Execute: capture})
-	svc.Start()
-	defer func() { _ = svc.Shutdown(context.Background()) }()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var startCell atomic.Int64
+			capture := func(ctx context.Context, spec JobSpec, base experiment.Runner, progress func(done, total int)) (*Output, error) {
+				startCell.Store(int64(base.StartCell))
+				return &Output{}, nil
+			}
+			svc := New(Config{Execute: capture})
+			svc.Start()
+			defer func() { _ = svc.Shutdown(context.Background()) }()
+			if tc.replica != nil {
+				if _, err := svc.Replicas().Apply("ffee00112233aabb", tc.replica, time.Now()); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	cps := []experiment.CellStats{{CHChanges: 1}}
-	job, existed, err := svc.Restore("ffee00112233aabb", sweepTwoCells(), "", cps)
-	if err != nil || existed {
-		t.Fatalf("Restore: existed=%v err=%v", existed, err)
-	}
-	if job.ID() != "ffee00112233aabb" {
-		t.Fatalf("restored job got ID %s", job.ID())
-	}
-	if st := waitTerminal(t, job); st.State != StateSucceeded {
-		t.Fatalf("restored job %s: %s", st.State, st.Error)
-	}
-	if sc := startCell.Load(); sc != 1 {
-		t.Fatalf("runner StartCell = %d, want 1 (resume past shipped prefix)", sc)
-	}
+			job, existed, err := svc.Restore("ffee00112233aabb", sweepTwoCells(), "")
+			if err != nil || existed {
+				t.Fatalf("Restore: existed=%v err=%v", existed, err)
+			}
+			if job.ID() != "ffee00112233aabb" {
+				t.Fatalf("restored job got ID %s", job.ID())
+			}
+			if st := waitTerminal(t, job); st.State != StateSucceeded {
+				t.Fatalf("restored job %s: %s", st.State, st.Error)
+			}
+			if sc := startCell.Load(); sc != tc.want {
+				t.Fatalf("runner StartCell = %d, want %d", sc, tc.want)
+			}
 
-	// Replaying the restore is idempotent.
-	again, existed, err := svc.Restore("ffee00112233aabb", sweepTwoCells(), "", cps)
-	if err != nil || !existed || again.ID() != job.ID() {
-		t.Fatalf("replayed Restore: job=%v existed=%v err=%v", again, existed, err)
+			// Replaying the restore is idempotent.
+			again, existed, err := svc.Restore("ffee00112233aabb", sweepTwoCells(), "")
+			if err != nil || !existed || again.ID() != job.ID() {
+				t.Fatalf("replayed Restore: job=%v existed=%v err=%v", again, existed, err)
+			}
+		})
 	}
 }
 
@@ -60,27 +96,28 @@ func TestRestoreRejectsBadInput(t *testing.T) {
 	defer func() { _ = svc.Shutdown(context.Background()) }()
 
 	cases := []struct {
-		name string
-		id   string
-		spec JobSpec
-		cps  []experiment.CellStats
+		name    string
+		id      string
+		spec    JobSpec
+		replica string
 	}{
-		{"empty id", "", sweepTwoCells(), nil},
-		{"long id", strings.Repeat("a", 65), sweepTwoCells(), nil},
-		{"invalid spec", "abc123", JobSpec{}, nil},
-		{"checkpoints on experiment", "abc123", JobSpec{Experiment: "fig3"}, []experiment.CellStats{{}}},
-		{"too many checkpoints", "abc123", sweepTwoCells(), []experiment.CellStats{{}, {}, {}}},
+		{"empty id", "", sweepTwoCells(), ""},
+		{"long id", strings.Repeat("a", 65), sweepTwoCells(), ""},
+		{"invalid spec", "abc123", JobSpec{}, ""},
+		{"relative replica", "abc123", sweepTwoCells(), "peer-b/v1"},
 	}
 	for _, tc := range cases {
-		if _, _, err := svc.Restore(tc.id, tc.spec, "", tc.cps); err == nil {
+		if _, _, err := svc.RestoreWith(tc.id, tc.spec, SubmitOpts{Replica: tc.replica}); err == nil {
 			t.Errorf("%s: Restore accepted", tc.name)
 		}
 	}
 }
 
+// TestHTTPCheckpointExportAndRestore drives failover state transfer over
+// HTTP: worker A runs a sweep partway with worker B as its replica target,
+// its checkpoint reaches B through POST /v1/replica/{id}, and a restore on
+// B resumes after it.
 func TestHTTPCheckpointExportAndRestore(t *testing.T) {
-	// Worker A runs a sweep partway (its journal holds checkpoints); the
-	// coordinator exports them and restores onto worker B, which resumes.
 	var startCell atomic.Int64
 	checkpointing := func(ctx context.Context, spec JobSpec, base experiment.Runner, progress func(done, total int)) (*Output, error) {
 		startCell.Store(int64(base.StartCell))
@@ -93,7 +130,12 @@ func TestHTTPCheckpointExportAndRestore(t *testing.T) {
 	_, srvB := newTestAPI(t, Config{Execute: checkpointing})
 
 	body, _ := json.Marshal(sweepTwoCells())
-	resp, err := http.Post(srvA.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, srvA.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Mobic-Replica", srvB.URL)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,29 +143,32 @@ func TestHTTPCheckpointExportAndRestore(t *testing.T) {
 	resp.Body.Close()
 	getStatus(t, srvA, st.ID)
 
-	resp, err = http.Get(srvA.URL + "/v1/jobs/" + st.ID + "/checkpoints")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("checkpoints status = %d", resp.StatusCode)
-	}
-	var export CheckpointExport
-	if err := json.NewDecoder(resp.Body).Decode(&export); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(export.Checkpoints.Cells) != 1 {
-		t.Fatalf("exported %d checkpoints, want 1", len(export.Checkpoints.Cells))
+	// A's checkpoint lands on B asynchronously.
+	var view ReplicaView
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err = http.Get(srvB.URL + "/v1/replica/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp.Body.Close()
+		if len(view.Cells) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica on B holds %d cells, want 1", len(view.Cells))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Ship the export to worker B under the same job ID.
-	restoreBody, _ := json.Marshal(map[string]any{
-		"spec":        export.Spec,
-		"key":         export.Key,
-		"checkpoints": export.Checkpoints,
-	})
-	resp, err = http.Post(srvB.URL+"/v1/jobs/"+export.ID+"/restore", "application/json", bytes.NewReader(restoreBody))
+	// Restore on B under the same job ID: it resumes from the replica.
+	restoreBody, _ := json.Marshal(map[string]any{"spec": view.Spec, "key": view.Key})
+	resp, err = http.Post(srvB.URL+"/v1/jobs/"+st.ID+"/restore", "application/json", bytes.NewReader(restoreBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,24 +177,13 @@ func TestHTTPCheckpointExportAndRestore(t *testing.T) {
 	}
 	restored := decodeStatus(t, resp.Body)
 	resp.Body.Close()
-	if restored.ID != export.ID {
-		t.Fatalf("restored under ID %s, want %s", restored.ID, export.ID)
+	if restored.ID != st.ID {
+		t.Fatalf("restored under ID %s, want %s", restored.ID, st.ID)
 	}
-	if fin := getStatus(t, srvB, export.ID); fin.State != StateSucceeded {
+	if fin := getStatus(t, srvB, st.ID); fin.State != StateSucceeded {
 		t.Fatalf("restored job %s: %s", fin.State, fin.Error)
 	}
 	if sc := startCell.Load(); sc != 1 {
 		t.Fatalf("worker B StartCell = %d, want 1", sc)
-	}
-
-	// Version-mismatched payloads are rejected before touching the service.
-	bad := strings.Replace(string(restoreBody), `"version":1`, `"version":99`, 1)
-	resp, err = http.Post(srvB.URL+"/v1/jobs/otherid/restore", "application/json", strings.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("version-mismatch restore status = %d, want 400", resp.StatusCode)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -118,17 +118,6 @@ type Config struct {
 	// chaos harness installs a fault injector here to exercise torn writes
 	// and fsync failures without the service importing it.
 	WrapWAL func(WALFile) WALFile
-	// Replicate enables proactive WAL replication: jobs submitted or
-	// restored with a replica target (the X-Mobic-Replica header, set by a
-	// coordinator to the job's ring successor) stream their checkpoint
-	// records to that peer as they are journaled, so a failover restores
-	// from a warm replica instead of the coordinator's last poll.
-	Replicate bool
-	// ReplicaFlushEvery is the replication batching window (default 25 ms):
-	// checkpoints landing within it coalesce into one batch.
-	ReplicaFlushEvery time.Duration
-	// ReplicaClient sends replication batches (default: 2 s timeout).
-	ReplicaClient *http.Client
 	// Tenants is the multi-tenant admission policy: per-tenant weights,
 	// priorities, quotas and rate limits, plus the credential mapping
 	// (API keys and X-Mobic-Tenant names). Nil runs the single default
@@ -199,7 +188,7 @@ type Service struct {
 	tset     *obs.TenantSet // per-tenant admitted/shed/queued/running/done families
 	journal  *Journal
 	flights  *cache.Flight // digest -> in-flight leader job (Cache mode)
-	repl     *replicator   // checkpoint streaming to ring successors (Replicate mode)
+	repl     *replicator   // checkpoint streaming to ring successors
 	replicas *ReplicaStore // checkpoint replicas received from ring predecessors
 
 	baseCtx    context.Context
@@ -239,6 +228,7 @@ func newService(cfg Config) *Service {
 		metrics:    NewMetrics(),
 		tset:       obs.NewTenantSet(),
 		flights:    cache.NewFlight(),
+		repl:       newReplicator(cfg.Obs),
 		replicas:   newReplicaStore(0, cfg.Obs),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -247,9 +237,6 @@ func newService(cfg Config) *Service {
 		retryN:     make(chan int, 1),
 		draining:   make(chan struct{}),
 		submitMu:   make(chan struct{}, 1),
-	}
-	if cfg.Replicate {
-		s.repl = newReplicator(cfg.ReplicaClient, cfg.ReplicaFlushEvery, cfg.Obs)
 	}
 	s.retryN <- 0
 	return s
@@ -567,14 +554,8 @@ func (s *Service) Start() {
 				tc := s.tenantCounters(tenant)
 				tc.Queued.Add(-1)
 				tc.Running.Add(1)
-				s.runJob(job)
-				tc.Running.Add(-1)
+				s.runJob(job, tc)
 				s.queue.Release(tenant)
-				// A non-terminal outcome means a retry was scheduled; the
-				// job re-enters Queued when the backoff requeues it.
-				if st, _, _ := job.Snapshot(); st.State.Terminal() {
-					tc.Done.Add(1)
-				}
 			}
 		}()
 	}
@@ -635,9 +616,10 @@ type SubmitOpts struct {
 	// Key is the idempotency key ("" for none).
 	Key string
 	// Replica is the base URL of the peer this job's checkpoint records
-	// should be streamed to as they are journaled ("" for none). Only
-	// honored with Config.Replicate; a coordinator sets it to the job's
-	// ring successor via the X-Mobic-Replica header.
+	// are streamed to as they are journaled ("" for none). A coordinator
+	// sets it to the job's ring successor via the X-Mobic-Replica header;
+	// anything but an absolute http(s) URL with a host is rejected as
+	// ErrInvalidSpec.
 	Replica string
 	// Tenant is the canonical tenant name the submission is admitted
 	// under, as returned by ResolveTenant ("" = default tenant). Unknown
@@ -649,6 +631,9 @@ type SubmitOpts struct {
 func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed bool, err error) {
 	key := opts.Key
 	if err := spec.Validate(); err != nil {
+		return nil, false, err
+	}
+	if err := validateReplica(opts.Replica); err != nil {
 		return nil, false, err
 	}
 	spec = s.withDefaultSeeds(spec)
@@ -690,9 +675,7 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 	job = newJob(spec, key, s.cfg.Clock())
 	job.nowFn = s.cfg.Clock
 	job.tenant = tenant
-	if s.repl != nil {
-		job.replica = opts.Replica
-	}
+	job.replica = opts.Replica
 	if digest != "" {
 		job.digest = digest
 		_, job.flightLeader = s.flights.Begin(digest, job.ID())
@@ -712,10 +695,23 @@ func (s *Service) SubmitWith(spec JobSpec, opts SubmitOpts) (job *Job, existed b
 	s.store.Put(job)
 	s.compactMu.RUnlock()
 	s.enqueue(job)
-	if s.repl != nil {
-		s.repl.begin(job)
-	}
+	s.repl.begin(job)
 	return job, false, nil
+}
+
+// validateReplica checks an X-Mobic-Replica value: empty (no replica) or
+// an absolute http/https URL with a host. The value comes from outside the
+// program, and a bad one would keep a flusher retrying POSTs to nowhere
+// for the job's whole life.
+func validateReplica(replica string) error {
+	if replica == "" {
+		return nil
+	}
+	u, err := url.Parse(replica)
+	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return invalidf("replica %q is not an absolute http(s) URL with a host", replica)
+	}
+	return nil
 }
 
 // DefaultSeeds is the seed count a submission that omits "seeds" runs
@@ -811,47 +807,41 @@ func (s *Service) settle(job *Job, out *Output) {
 	}
 }
 
-// Restore enqueues a job under a caller-chosen ID with a pre-seeded
-// checkpoint prefix: the coordinator's failover entry point. The job
-// resumes at cell len(cps) exactly as a local crash recovery would, so its
-// output — and its per-cell trace digests — are identical to an
-// uninterrupted run (resume-equals-rerun, proven in the recovery tests).
-// If a job with the same ID (or idempotency key) already exists, that job
-// is returned with existed=true, which makes failover re-dispatch
-// idempotent. Backpressure matches Submit: a full queue sheds with
-// ErrQueueFull.
-func (s *Service) Restore(id string, spec JobSpec, key string, cps []experiment.CellStats) (job *Job, existed bool, err error) {
-	return s.RestoreWith(id, spec, SubmitOpts{Key: key}, cps)
+// Restore enqueues a job under a caller-chosen ID: the coordinator's
+// failover entry point. A sweep resumes from the checkpoint prefix a ring
+// predecessor replicated here (see RestoreWith), exactly as a local crash
+// recovery would, so its output — and its per-cell trace digests — are
+// identical to an uninterrupted run (resume-equals-rerun, proven in the
+// recovery tests). If a job with the same ID (or idempotency key) already
+// exists, that job is returned with existed=true, which makes failover
+// re-dispatch idempotent. Backpressure matches Submit: a full queue sheds
+// with ErrQueueFull.
+func (s *Service) Restore(id string, spec JobSpec, key string) (job *Job, existed bool, err error) {
+	return s.RestoreWith(id, spec, SubmitOpts{Key: key})
 }
 
-// RestoreWith is Restore with the full option set. Before enqueueing it
-// consults the local replica store: when a ring predecessor streamed this
-// job's checkpoints here and that replica holds a longer contiguous prefix
-// than the shipped one (the coordinator's last poll may be stale — or
-// empty, if chaos interrupted the poller), the job resumes from the replica
-// instead. That is the payoff of proactive replication: progress journaled
-// after the coordinator's last observation survives the owner's death.
-func (s *Service) RestoreWith(id string, spec JobSpec, opts SubmitOpts, cps []experiment.CellStats) (job *Job, existed bool, err error) {
+// RestoreWith is Restore with the full option set. The resume point comes
+// from the local replica store: when the job's previous owner streamed its
+// checkpoints here, the job resumes after that contiguous prefix;
+// otherwise it re-runs from cell 0. The replica arrived over the network,
+// so it is used only when its spec digest matches and its prefix fits in
+// the sweep's cell count.
+func (s *Service) RestoreWith(id string, spec JobSpec, opts SubmitOpts) (job *Job, existed bool, err error) {
 	key := opts.Key
 	if err := spec.Validate(); err != nil {
+		return nil, false, err
+	}
+	if err := validateReplica(opts.Replica); err != nil {
 		return nil, false, err
 	}
 	if id == "" || len(id) > 64 {
 		return nil, false, invalidf("restore id %q must be 1-64 characters", id)
 	}
+	var cps []experiment.CellStats
 	if spec.Sweep != nil {
-		if rspec, _, rcps, ok := s.replicas.Lookup(id); ok && len(rcps) > len(cps) && rspec.Digest() == spec.Digest() {
-			cps = rcps
-			s.cfg.Obs.Add(obs.ReplRestores, 1)
-		}
-	}
-	if len(cps) > 0 {
-		if spec.Sweep == nil {
-			return nil, false, invalidf("checkpoints only apply to sweep jobs")
-		}
 		cells := len(spec.Sweep.Algorithms) * max(1, len(spec.Sweep.TxRanges))
-		if len(cps) > cells {
-			return nil, false, invalidf("%d checkpoints exceed the sweep's %d cells", len(cps), cells)
+		if rspec, _, rcps, ok := s.replicas.Lookup(id); ok && len(rcps) <= cells && rspec.Digest() == spec.Digest() {
+			cps = rcps
 		}
 	}
 
@@ -876,11 +866,12 @@ func (s *Service) RestoreWith(id string, spec JobSpec, opts SubmitOpts, cps []ex
 	job = rehydrate(id, spec, key, now)
 	job.nowFn = s.cfg.Clock
 	job.tenant = tenant
-	if s.repl != nil {
-		job.replica = opts.Replica
-	}
+	job.replica = opts.Replica
 	for i, cs := range cps {
 		job.addCheckpoint(i, cs)
+	}
+	if len(cps) > 0 {
+		s.cfg.Obs.Add(obs.ReplRestores, 1)
 	}
 	if s.cfg.Cache != nil {
 		job.digest = spec.Digest()
@@ -900,9 +891,7 @@ func (s *Service) RestoreWith(id string, spec JobSpec, opts SubmitOpts, cps []ex
 	s.store.Put(job)
 	s.compactMu.RUnlock()
 	s.enqueue(job)
-	if s.repl != nil {
-		s.repl.begin(job)
-	}
+	s.repl.begin(job)
 	return job, false, nil
 }
 
@@ -953,9 +942,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.baseCancel() // stop the janitor and wake pending retry timers
 		s.waitRetries()
 		<-s.janitorWG
-		if s.repl != nil {
-			s.repl.close()
-		}
+		s.repl.close()
 		if s.journal != nil {
 			_ = s.journal.Close()
 		}
@@ -1003,18 +990,10 @@ func (s *Service) safeExecute(ctx context.Context, spec JobSpec, runner experime
 }
 
 // runJob executes one popped job end to end and classifies the outcome.
-func (s *Service) runJob(job *Job) {
+// tc is the job's tenant counters: the worker loop booked the job as
+// running, and runJob books it back out before it publishes any outcome.
+func (s *Service) runJob(job *Job, tc *obs.TenantCounters) {
 	now := s.cfg.Clock()
-	if s.repl != nil {
-		// A terminal job needs no replica: the successor would serve the
-		// result, not resume it. Retried jobs stay registered.
-		defer func() {
-			if st, _, _ := job.Snapshot(); st.State.Terminal() {
-				s.repl.finish(job.ID())
-			}
-		}()
-	}
-
 	jobCtx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	if t := job.spec.TimeoutSeconds; t > 0 {
@@ -1024,11 +1003,8 @@ func (s *Service) runJob(job *Job) {
 
 	if !job.setRunning(cancel, now) {
 		// Canceled while queued: never ran.
-		s.metrics.canceled.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateCanceled, Error: context.Canceled.Error()}, func() {
-			job.finish(StateCanceled, nil, context.Canceled.Error(), now)
-		})
-		s.settle(job, nil)
+		tc.Running.Add(-1)
+		s.conclude(job, StateCanceled, nil, context.Canceled.Error(), now, true)
 		return
 	}
 	attempt := job.beginAttempt()
@@ -1048,17 +1024,16 @@ func (s *Service) runJob(job *Job) {
 			s.journalApply(rec, func() {
 				job.addCheckpoint(cell, cs)
 			})
-			if s.repl != nil {
-				// Replication rides the same record the WAL just fsync'd, so
-				// the replica can never run ahead of local durability.
-				s.repl.checkpoint(job.ID(), rec)
-			}
+			// Replication rides the same record the WAL just fsync'd, so
+			// the replica can never run ahead of local durability.
+			s.repl.checkpoint(job.ID(), rec)
 		}
 	}
 
 	s.metrics.inFlight.Add(1)
 	out, err := s.safeExecute(jobCtx, job.spec, runner, job.setProgress)
 	s.metrics.inFlight.Add(-1)
+	tc.Running.Add(-1)
 
 	end := s.cfg.Clock()
 	s.metrics.ObserveLatency(end.Sub(now).Seconds())
@@ -1067,36 +1042,47 @@ func (s *Service) runJob(job *Job) {
 	}
 	switch {
 	case err == nil:
-		s.metrics.completed.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateSucceeded, Output: out}, func() {
-			job.finish(StateSucceeded, out, "", end)
-		})
-		s.settle(job, out)
+		s.conclude(job, StateSucceeded, out, "", end, true)
 	case errors.Is(err, context.Canceled):
-		s.metrics.canceled.Add(1)
-		if job.CancelRequested() {
-			s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateCanceled, Error: err.Error()}, func() {
-				job.finish(StateCanceled, nil, err.Error(), end)
-			})
-			s.settle(job, nil)
-			return
-		}
 		// A shutdown abort (baseCtx canceled without a user request) is
 		// deliberately NOT journaled as terminal: the WAL still shows the
 		// job mid-flight, so the next boot re-enqueues and resumes it.
-		job.finish(StateCanceled, nil, err.Error(), end)
-		s.settle(job, nil)
+		s.conclude(job, StateCanceled, nil, err.Error(), end, job.CancelRequested())
 	case errors.Is(err, context.DeadlineExceeded):
 		// The job consumed its own wall-clock budget; retrying would just
 		// burn it again.
-		s.metrics.failed.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: end, State: StateFailed, Error: err.Error()}, func() {
-			job.finish(StateFailed, nil, err.Error(), end)
-		})
-		s.settle(job, nil)
+		s.conclude(job, StateFailed, nil, err.Error(), end, true)
 	default:
 		s.failAttempt(job, attempt, err, end)
 	}
+}
+
+// conclude moves a job to its terminal state. The tenant's done counter is
+// booked first, so whoever observes the terminal state also sees balanced
+// tenant books. With durable set the finish record is journaled before the
+// state is published; a shutdown abort passes false so the next boot
+// resumes the job. The job's replication stream ends with it: a successor
+// would serve a finished job's result, not resume it.
+func (s *Service) conclude(job *Job, state State, out *Output, errMsg string, at time.Time, durable bool) {
+	switch state {
+	case StateSucceeded:
+		s.metrics.completed.Add(1)
+	case StateFailed:
+		s.metrics.failed.Add(1)
+	case StateCanceled:
+		s.metrics.canceled.Add(1)
+	case StatePoisoned:
+		s.metrics.poisoned.Add(1)
+	}
+	s.tenantCounters(job.tenant).Done.Add(1)
+	publish := func() { job.finish(state, out, errMsg, at) }
+	if durable {
+		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: at, State: state, Error: errMsg, Output: out}, publish)
+	} else {
+		publish()
+	}
+	s.settle(job, out)
+	s.repl.finish(job.ID())
 }
 
 // failAttempt classifies a failed execution: re-queue with backoff while
@@ -1112,27 +1098,15 @@ func (s *Service) failAttempt(job *Job, attempt int, cause error, now time.Time)
 			return
 		}
 		// Canceled between the failure and the retry decision.
-		s.metrics.canceled.Add(1)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateCanceled, Error: context.Canceled.Error()}, func() {
-			job.finish(StateCanceled, nil, context.Canceled.Error(), now)
-		})
-		s.settle(job, nil)
+		s.conclude(job, StateCanceled, nil, context.Canceled.Error(), now, true)
 		return
 	}
 	if maxAttempts > 1 && attempt >= maxAttempts {
-		s.metrics.poisoned.Add(1)
 		msg := fmt.Sprintf("poisoned after %d attempts: %v", attempt, cause)
-		s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StatePoisoned, Error: msg}, func() {
-			job.finish(StatePoisoned, nil, msg, now)
-		})
-		s.settle(job, nil)
+		s.conclude(job, StatePoisoned, nil, msg, now, true)
 		return
 	}
-	s.metrics.failed.Add(1)
-	s.journalApply(record{Type: recFinish, Job: job.ID(), Time: now, State: StateFailed, Error: cause.Error()}, func() {
-		job.finish(StateFailed, nil, cause.Error(), now)
-	})
-	s.settle(job, nil)
+	s.conclude(job, StateFailed, nil, cause.Error(), now, true)
 }
 
 // scheduleRetry re-enqueues job after a capped, jittered exponential
@@ -1154,11 +1128,8 @@ func (s *Service) scheduleRetry(job *Job, attempt int, cause error) {
 		s.submitMu <- struct{}{}
 		if s.closed {
 			<-s.submitMu
-			s.metrics.canceled.Add(1)
-			job.finish(StateCanceled, nil,
-				fmt.Sprintf("retry %d abandoned by shutdown (last error: %v)", attempt+1, cause), s.cfg.Clock())
-			s.settle(job, nil)
-			s.tenantCounters(job.tenant).Done.Add(1)
+			s.conclude(job, StateCanceled, nil,
+				fmt.Sprintf("retry %d abandoned by shutdown (last error: %v)", attempt+1, cause), s.cfg.Clock(), false)
 			return
 		}
 		// Requeue bypasses quota and rate admission on purpose: the job

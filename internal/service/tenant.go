@@ -101,6 +101,9 @@ func (s *Service) SubmitBatch(specs []JobSpec, opts SubmitOpts) ([]*Job, error) 
 			return nil, fmt.Errorf("jobs[%d]: %w", i, err)
 		}
 	}
+	if err := validateReplica(opts.Replica); err != nil {
+		return nil, err
+	}
 	tenant := s.cfg.Tenants.Canonical(opts.Tenant)
 
 	s.submitMu <- struct{}{}
@@ -121,9 +124,7 @@ func (s *Service) SubmitBatch(specs []JobSpec, opts SubmitOpts) ([]*Job, error) 
 		job := newJob(spec, "", now)
 		job.nowFn = s.cfg.Clock
 		job.tenant = tenant
-		if s.repl != nil {
-			job.replica = opts.Replica
-		}
+		job.replica = opts.Replica
 		if s.cfg.Cache != nil {
 			job.digest = spec.Digest()
 		}
@@ -146,9 +147,7 @@ func (s *Service) SubmitBatch(specs []JobSpec, opts SubmitOpts) ([]*Job, error) 
 	s.compactMu.RUnlock()
 	for _, job := range jobs {
 		s.enqueue(job)
-		if s.repl != nil {
-			s.repl.begin(job)
-		}
+		s.repl.begin(job)
 	}
 	return jobs, nil
 }
